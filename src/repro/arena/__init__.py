@@ -1,12 +1,12 @@
-"""Arena IR: struct-of-arrays programs, interned expressions, fused
+"""Arena IR: interned program payload over CSR snapshots, fused
 corpus-level solving (DESIGN.md §13).
 
 Public surface:
 
 * :class:`~repro.arena.pool.ExpressionPool` -- corpus-wide expression
   interning with precomputed per-id analysis tables;
-* :func:`~repro.arena.arena.lower_cfg` /
-  :func:`~repro.arena.arena.lower_program` -- flatten a CFG into a
+* :func:`~repro.arena.arena.lower_cfg` -- intern a CFG's payload over
+  its :class:`~repro.perf.csr.CSRGraph` into a
   :class:`~repro.arena.arena.ProgramArena`;
 * :class:`~repro.arena.arena.ArenaCorpus` -- many arenas over one pool,
   with ``to_bytes``/``from_bytes`` wire format for pool workers;
@@ -15,19 +15,13 @@ Public surface:
   result-identical to the object pipeline.
 """
 
-from repro.arena.arena import (
-    ArenaCorpus,
-    ProgramArena,
-    lower_cfg,
-    lower_program,
-)
+from repro.arena.arena import ArenaCorpus, ProgramArena, lower_cfg
 from repro.arena.kernels import (
     ArenaSpace,
     CorpusOrder,
     analyze_arena,
     analyze_corpus,
     arena_constprop,
-    solve_arena_bitset,
 )
 from repro.arena.pool import ExpressionPool
 
@@ -41,6 +35,4 @@ __all__ = [
     "analyze_corpus",
     "arena_constprop",
     "lower_cfg",
-    "lower_program",
-    "solve_arena_bitset",
 ]

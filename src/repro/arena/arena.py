@@ -1,32 +1,38 @@
-"""Struct-of-arrays program arenas and their binary wire format.
+"""Program arenas: interned payload over a CSR snapshot, plus the RPA1
+binary wire format.
 
-A :class:`ProgramArena` is a lowered CFG: parallel int lists for nodes
-(kind tag, target name id, expression pool id) and edges (src, dst,
-label id), plus CSR successor/predecessor adjacency in the *same order*
-as the object graph's ``_out``/``_in`` lists -- so every array kernel
-that consumes :class:`~repro.perf.csr.CSRGraph` layout runs unmodified
-on an arena, and iteration order (hence any order-sensitive tie-break)
-matches the object pipeline bit for bit.
+A :class:`ProgramArena` is a lowered CFG: per node a kind tag, a target
+name id and an expression pool id; per edge a label id -- all interned
+into one :class:`~repro.arena.pool.ExpressionPool` -- over the
+:class:`~repro.perf.csr.CSRGraph` that holds the topology (dense
+enumeration, original CFG ids, adjacency, start/end).  There is one flat
+graph layout in the project, so every array kernel, the bitset solver
+included, runs on an arena's ``csr`` unmodified, and iteration order
+(hence any order-sensitive tie-break) matches the object pipeline bit
+for bit.
 
-An :class:`ArenaCorpus` bundles many arenas over one shared
-:class:`~repro.arena.pool.ExpressionPool` and serializes to a compact
-tagged varint stream (``to_bytes``/``from_bytes``).  That stream is what
+An :class:`ArenaCorpus` bundles many arenas over one shared pool and
+serializes to a compact tagged varint stream (``to_bytes``/
+``from_bytes``).  That stream is what
 :class:`~repro.robust.pool.SupervisedPool` workers receive in arena
 batch mode, replacing per-spec pickles of AST/CFG object graphs: the
 pool tables ship once per chunk and amortize across every program in
 it.  The serve daemon's content-addressed cache reuses the same stream
 as the ``arena`` pass's export codec (a one-program corpus per entry):
-decoding rebuilds the pool's derived tables from scratch, so a cached
-arena blob is detached from any live graph by construction.
+decoding rebuilds the pool's derived tables from scratch and each
+program's topology as a graph-less snapshot
+(:meth:`~repro.perf.csr.CSRGraph.from_tables`), so a decoded arena is
+detached from any live graph by construction.
 
 Wire format (version 1): the magic ``b"RPA1"``, then varint-framed
 sections in fixed order (pool names, pool literals, expression rows,
 then each program's node/edge/adjacency arrays).  All integers are
 LEB128 varints; signed values (literals, ``-1`` sentinels) are zigzag
-encoded; strings are length-prefixed UTF-8.  Any magic/version mismatch
-or truncation raises :class:`~repro.robust.errors.InputError` -- never a
-bare struct error -- so the robust layer can quarantine a corrupt
-payload with context.
+encoded; strings are length-prefixed UTF-8.  Any magic/version mismatch,
+truncation, or adjacency table that indexes out of range raises
+:class:`~repro.robust.errors.InputError` -- never a bare struct or
+index error -- so the robust layer can quarantine a corrupt payload
+with context.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.arena.pool import ExpressionPool
 from repro.cfg.graph import CFG, NodeKind
-from repro.lang.ast_nodes import Program
+from repro.perf.csr import CSRGraph, build_csr
 from repro.robust.errors import InputError
 from repro.util.counters import WorkCounter
 
@@ -47,44 +53,34 @@ KIND_TAGS: tuple[NodeKind, ...] = tuple(NodeKind)
 KIND_INDEX: dict[NodeKind, int] = {kind: i for i, kind in enumerate(KIND_TAGS)}
 
 
-@dataclass
+@dataclass(eq=False)
 class ProgramArena:
-    """One lowered program: flat node/edge/adjacency tables.
+    """One lowered program: interned node/edge payload over ``csr``.
 
-    ``node_ids``/``edge_ids`` carry the *original* CFG ids so decoded
-    analysis results key exactly like the object pipeline's.  All other
-    tables are dense (indexed 0..n-1 / 0..m-1) in CFG insertion order,
-    mirroring :class:`~repro.perf.csr.CSRGraph`.
+    The payload tables are dense (indexed like ``csr``'s nodes 0..n-1 /
+    edges 0..m-1); ``csr.node_ids``/``csr.edge_ids`` carry the original
+    CFG ids so decoded analysis results key exactly like the object
+    pipeline's.  Two arenas are the same lowering exactly when their
+    RPA1 encodings are equal.
     """
 
     label: str
-    node_ids: list[int] = field(default_factory=list)
+    csr: CSRGraph
     node_kind: list[int] = field(default_factory=list)
     #: target variable name id for ASSIGN nodes, else -1
     node_target: list[int] = field(default_factory=list)
     #: expression pool id for ASSIGN/PRINT/SWITCH nodes, else -1
     node_expr: list[int] = field(default_factory=list)
-    edge_ids: list[int] = field(default_factory=list)
-    edge_src: list[int] = field(default_factory=list)
-    edge_dst: list[int] = field(default_factory=list)
     #: switch-arm label as a pool name id, else -1
     edge_label: list[int] = field(default_factory=list)
-    succ_off: list[int] = field(default_factory=list)
-    succ_node: list[int] = field(default_factory=list)
-    succ_edge: list[int] = field(default_factory=list)
-    pred_off: list[int] = field(default_factory=list)
-    pred_node: list[int] = field(default_factory=list)
-    pred_edge: list[int] = field(default_factory=list)
-    start: int = -1
-    end: int = -1
 
     @property
     def n(self) -> int:
-        return len(self.node_ids)
+        return self.csr.n
 
     @property
     def m(self) -> int:
-        return len(self.edge_ids)
+        return self.csr.m
 
 
 def lower_cfg(
@@ -92,20 +88,18 @@ def lower_cfg(
     pool: ExpressionPool,
     label: str = "",
     counter: WorkCounter | None = None,
+    csr: CSRGraph | None = None,
 ) -> ProgramArena:
-    """Flatten ``graph`` into a :class:`ProgramArena` over ``pool``.
+    """Intern ``graph``'s node and edge payload into ``pool`` over its
+    CSR snapshot (``csr``, built here when not supplied).
 
-    Node and edge enumeration follow CFG insertion order (the
-    :class:`~repro.perf.csr.CSRGraph` convention), and the CSR adjacency
-    preserves the ``_out``/``_in`` list order, so arena RPO/worklist
-    traversals visit exactly the sequence the object kernels do.
-    """
-    arena = ProgramArena(label=label)
-    dense: dict[int, int] = {}
-    for i, nid in enumerate(graph.nodes):
-        dense[nid] = i
-    for nid, node in graph.nodes.items():
-        arena.node_ids.append(nid)
+    Payload order is the snapshot's dense order (CFG insertion order),
+    which fixes the pool's interning sequence and hence its ids."""
+    csr = build_csr(graph) if csr is None else csr.check()
+    arena = ProgramArena(label, csr)
+    nodes = graph.nodes
+    for nid in csr.node_ids:
+        node = nodes[nid]
         arena.node_kind.append(KIND_INDEX[node.kind])
         arena.node_target.append(
             pool.intern_name(node.target) if node.target is not None else -1
@@ -115,48 +109,13 @@ def lower_cfg(
         )
         if counter is not None:
             counter.tick("arena_nodes_lowered")
-    edge_dense: dict[int, int] = {}
-    for j, (eid, edge) in enumerate(graph.edges.items()):
-        edge_dense[eid] = j
-        arena.edge_ids.append(eid)
-        arena.edge_src.append(dense[edge.src])
-        arena.edge_dst.append(dense[edge.dst])
+    edges = graph.edges
+    for eid in csr.edge_ids:
+        edge_label = edges[eid].label
         arena.edge_label.append(
-            pool.intern_name(edge.label) if edge.label is not None else -1
+            pool.intern_name(edge_label) if edge_label is not None else -1
         )
-    off = 0
-    for nid in graph.nodes:
-        arena.succ_off.append(off)
-        for eid in graph._out[nid]:
-            edge = graph.edges[eid]
-            arena.succ_node.append(dense[edge.dst])
-            arena.succ_edge.append(edge_dense[eid])
-            off += 1
-    arena.succ_off.append(off)
-    off = 0
-    for nid in graph.nodes:
-        arena.pred_off.append(off)
-        for eid in graph._in[nid]:
-            edge = graph.edges[eid]
-            arena.pred_node.append(dense[edge.src])
-            arena.pred_edge.append(edge_dense[eid])
-            off += 1
-    arena.pred_off.append(off)
-    arena.start = dense[graph.start]
-    arena.end = dense[graph.end]
     return arena
-
-
-def lower_program(
-    program: Program,
-    pool: ExpressionPool,
-    label: str = "",
-    counter: WorkCounter | None = None,
-) -> ProgramArena:
-    """Parse-tree entry point: build the CFG, then lower it."""
-    from repro.cfg.builder import build_cfg
-
-    return lower_cfg(build_cfg(program), pool, label=label, counter=counter)
 
 
 @dataclass
@@ -196,32 +155,30 @@ class ArenaCorpus:
             _sv(out, pool.arg2[i])
         _uv(out, len(self.programs))
         for arena in self.programs:
+            csr = arena.csr
             _string(out, arena.label)
-            _uv(out, arena.n)
-            _uv(out, arena.m)
-            for table in (arena.node_ids, arena.node_kind):
+            _uv(out, csr.n)
+            _uv(out, csr.m)
+            for table in (csr.node_ids, arena.node_kind):
                 for value in table:
                     _uv(out, value)
             for table in (arena.node_target, arena.node_expr):
                 for value in table:
                     _sv(out, value)
-            for value in arena.edge_ids:
-                _uv(out, value)
-            for value in arena.edge_src:
-                _uv(out, value)
-            for value in arena.edge_dst:
-                _uv(out, value)
+            for table in (csr.edge_ids, csr.edge_src, csr.edge_dst):
+                for value in table:
+                    _uv(out, value)
             for value in arena.edge_label:
                 _sv(out, value)
             # Offsets are monotone; adjacency targets are dense indices.
             for table in (
-                arena.succ_off, arena.succ_node, arena.succ_edge,
-                arena.pred_off, arena.pred_node, arena.pred_edge,
+                csr.succ_off, csr.succ_node, csr.succ_edge,
+                csr.pred_off, csr.pred_node, csr.pred_edge,
             ):
                 for value in table:
                     _uv(out, value)
-            _uv(out, arena.start)
-            _uv(out, arena.end)
+            _uv(out, csr.start)
+            _uv(out, csr.end)
         return bytes(out)
 
     @classmethod
@@ -250,27 +207,24 @@ class ArenaCorpus:
             pool.arg2.append(reader.sv())
         pool._rebuild_derived()
         corpus = cls(pool)
+        uvs, svs = reader.uvs, reader.svs
         for _ in range(reader.uv()):
-            arena = ProgramArena(label=reader.string())
+            label = reader.string()
             n = reader.uv()
             m = reader.uv()
-            arena.node_ids = [reader.uv() for _ in range(n)]
-            arena.node_kind = [reader.uv() for _ in range(n)]
-            arena.node_target = [reader.sv() for _ in range(n)]
-            arena.node_expr = [reader.sv() for _ in range(n)]
-            arena.edge_ids = [reader.uv() for _ in range(m)]
-            arena.edge_src = [reader.uv() for _ in range(m)]
-            arena.edge_dst = [reader.uv() for _ in range(m)]
-            arena.edge_label = [reader.sv() for _ in range(m)]
-            arena.succ_off = [reader.uv() for _ in range(n + 1)]
-            arena.succ_node = [reader.uv() for _ in range(m)]
-            arena.succ_edge = [reader.uv() for _ in range(m)]
-            arena.pred_off = [reader.uv() for _ in range(n + 1)]
-            arena.pred_node = [reader.uv() for _ in range(m)]
-            arena.pred_edge = [reader.uv() for _ in range(m)]
-            arena.start = reader.uv()
-            arena.end = reader.uv()
-            corpus.programs.append(arena)
+            node_ids, node_kind = uvs(n), uvs(n)
+            node_target, node_expr = svs(n), svs(n)
+            edge_ids, edge_src, edge_dst = uvs(m), uvs(m), uvs(m)
+            edge_label = svs(m)
+            csr = CSRGraph.from_tables(
+                node_ids, edge_ids, edge_src, edge_dst,
+                uvs(n + 1), uvs(m), uvs(m),
+                uvs(n + 1), uvs(m), uvs(m),
+                reader.uv(), reader.uv(),
+            )
+            corpus.programs.append(ProgramArena(
+                label, csr, node_kind, node_target, node_expr, edge_label,
+            ))
         reader.expect_end()
         return corpus
 
@@ -330,6 +284,12 @@ class _Reader:
     def sv(self) -> int:
         raw = self.uv()
         return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
+
+    def uvs(self, count: int) -> list[int]:
+        return [self.uv() for _ in range(count)]
+
+    def svs(self, count: int) -> list[int]:
+        return [self.sv() for _ in range(count)]
 
     def string(self) -> str:
         length = self.uv()

@@ -1,16 +1,16 @@
 """Arena-backed solvers for the core analyses.
 
-These kernels replay the object pipeline's exact semantics over the flat
-tables of a :class:`~repro.arena.arena.ProgramArena`:
+These kernels replay the object pipeline's exact semantics over the
+interned tables of a :class:`~repro.arena.arena.ProgramArena`:
 
 * :class:`ArenaSpace` is the arena twin of
   :class:`~repro.dataflow.bitsets.ExpressionSpace` plus the liveness and
-  reaching-definitions compiles -- gen/kill masks built purely from pool
-  tables (``gen_ids``, ``var_ids``) and corpus-global ranks, with no
-  expression-tree walks, no AST hashing and no ``repr`` sorting on the
-  per-program path;
-* :func:`solve_arena_bitset` is :func:`~repro.perf.bitset.solve_bitset`
-  over arena adjacency (same RPO priority worklist, same transfer);
+  reaching-definitions compiles -- bitset problems built purely from
+  pool tables (``gen_ids``, ``var_ids``) and corpus-global ranks, with
+  no expression-tree walks, no AST hashing and no ``repr`` sorting on
+  the per-program path;
+* the bitset analyses are solved by the one flat kernel,
+  :func:`~repro.perf.bitset.solve_bitset`, over the arena's ``csr``;
 * :func:`arena_constprop` is the Kildall vector algorithm of
   :func:`~repro.opt.cfg_constprop.cfg_constant_propagation` evaluated
   over interned expression ids.
@@ -28,7 +28,6 @@ WorkCounter tests assert the sweep interns nothing.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 
 from repro.arena.arena import KIND_INDEX, ProgramArena
 from repro.arena.pool import (
@@ -46,7 +45,12 @@ from repro.lang.ast_nodes import BINARY_OPS, UNARY_OPS
 from repro.lang.errors import InterpError
 from repro.lang.interp import apply_binop
 from repro.opt.cfg_constprop import CFGConstants
-from repro.perf.kernels import csr_rpo
+from repro.perf.bitset import (
+    BitsetProblem,
+    MaskDecoder,
+    rpo_positions,
+    solve_bitset,
+)
 from repro.util.counters import WorkCounter
 
 N_START = KIND_INDEX[NodeKind.START]
@@ -130,84 +134,27 @@ class CorpusOrder:
         return plan
 
 
-#: byte value -> bit offsets set in it (decode helper).
-_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
-
-
-class SingletonDecoder:
-    """Mask decoder over a universe of pre-hashed singleton frozensets.
-
-    The arena twin of :class:`~repro.perf.bitset.MaskDecoder`: same
-    per-mask cache (one decoder is shared by every analysis over the
-    same universe, so AV masks re-produced by ANT are hits), but each
-    miss unions singletons instead of hashing raw universe elements,
-    which makes decoding hash-free for deep expression objects."""
-
-    __slots__ = ("singles", "_cache")
-
-    def __init__(self, singles: list) -> None:
-        self.singles = singles
-        self._cache: dict[int, frozenset] = {0: frozenset()}
-
-    def decode(self, mask: int) -> frozenset:
-        value = self._cache.get(mask)
-        if value is None:
-            singles = self.singles
-            byte_bits = _BYTE_BITS
-            parts = []
-            base = 0
-            rest = mask
-            while rest:
-                b = rest & 0xFF
-                if b:
-                    for j in byte_bits[b]:
-                        parts.append(singles[base + j])
-                rest >>= 8
-                base += 8
-            value = frozenset().union(*parts)
-            self._cache[mask] = value
-        return value
-
-    def decode_all(
-        self, facts: list[int], edge_ids: list[int]
-    ) -> dict[int, frozenset]:
-        cache = self._cache
-        decode = self.decode
-        result: dict[int, frozenset] = {}
-        for e, mask in enumerate(facts):
-            value = cache.get(mask)
-            if value is None:
-                value = decode(mask)
-            result[edge_ids[e]] = value
-        return result
-
-
 class ArenaSpace:
-    """Per-program compile of all five analyses from pool tables alone.
+    """Per-program compile of the four bitset analyses from pool tables.
 
     The expression part mirrors
     :class:`~repro.dataflow.bitsets.ExpressionSpace` (same universe
     order, same gen/kill), the variable part mirrors
     :func:`~repro.dataflow.bitsets.liveness_problem`, and the site part
-    :func:`~repro.dataflow.bitsets.reaching_problem`.
+    :func:`~repro.dataflow.bitsets.reaching_problem`.  ``problems`` maps
+    each analysis name, in solve order, to its compiled
+    :class:`~repro.perf.bitset.BitsetProblem` and the decoder of its
+    universe (AV and ANT share one, so masks they both produce decode
+    once).
     """
 
-    __slots__ = (
-        "arena", "pool",
-        "expr_universe", "expr_objects", "egen", "ekill", "efull",
-        "var_names", "var_pos", "lgen", "lkill",
-        "site_universe", "rgen", "rkill",
-        "enotkill", "lnotkill", "rnotkill",
-        "expr_dec", "var_dec", "site_dec",
-        "fwd_rpo", "bwd_rpo",
-    )
+    __slots__ = ("var_names", "var_pos", "problems")
 
     def __init__(
         self, arena: ProgramArena, pool: ExpressionPool, order: CorpusOrder
     ) -> None:
-        self.arena = arena
-        self.pool = pool
         n = arena.n
+        node_ids = arena.csr.node_ids
         gen_ids = pool.gen_ids
         var_ids = pool.var_ids
         node_expr = arena.node_expr
@@ -226,8 +173,6 @@ class ArenaSpace:
             if target >= 0 and node_kind[v] == N_ASSIGN:
                 var_seen.add(target)
         universe = sorted(expr_seen, key=order.expr_rank.__getitem__)
-        self.expr_universe = universe
-        self.expr_objects = [pool.objects[eid] for eid in universe]
         ebit = {eid: i for i, eid in enumerate(universe)}
         kill_by_name: dict[int, int] = {}
         for i, eid in enumerate(universe):
@@ -249,9 +194,7 @@ class ArenaSpace:
                 egen[v] = mask
             if node_kind[v] == N_ASSIGN:
                 ekill[v] = kill_by_name.get(node_target[v], 0)
-        self.egen = egen
-        self.ekill = ekill
-        self.efull = (1 << len(universe)) - 1
+        efull = (1 << len(universe)) - 1
 
         # -- variable universe (== sorted(graph.variables()))
         var_order = sorted(var_seen, key=order.name_rank.__getitem__)
@@ -273,22 +216,17 @@ class ArenaSpace:
                 lgen[v] = mask
             if node_kind[v] == N_ASSIGN:
                 lkill[v] = 1 << var_pos[node_target[v]]
-        self.lgen = lgen
-        self.lkill = lkill
 
         # -- reaching-definition sites (== reaching_problem's universe)
-        start_id = arena.node_ids[arena.start]
+        start_id = node_ids[arena.csr.start]
         sites = [(name_id, start_id) for name_id in var_order]
         for v in range(n):
             if node_kind[v] == N_ASSIGN:
-                site = (node_target[v], arena.node_ids[v])
+                site = (node_target[v], node_ids[v])
                 if site[1] != start_id:
                     sites.append(site)
         name_rank = order.name_rank
         sites.sort(key=lambda s: (name_rank[s[0]], s[1]))
-        self.site_universe = [
-            (pool.names[name_id], nid) for name_id, nid in sites
-        ]
         sbit = {site: i for i, site in enumerate(sites)}
         by_var: dict[int, int] = {}
         for site, i in sbit.items():
@@ -303,128 +241,38 @@ class ArenaSpace:
             if kind == N_START:
                 rgen[v] = start_mask
             elif kind == N_ASSIGN:
-                rgen[v] = 1 << sbit[(node_target[v], arena.node_ids[v])]
+                rgen[v] = 1 << sbit[(node_target[v], node_ids[v])]
                 rkill[v] = by_var[node_target[v]]
-        self.rgen = rgen
-        self.rkill = rkill
 
-        # -- complement masks (the solver transfer's ``in & ~kill``),
-        # built once so the five solves don't each rebuild them
-        self.enotkill = [~x for x in ekill]
-        self.lnotkill = [~x for x in lkill]
-        self.rnotkill = [~x for x in rkill]
-
-        # -- shared decoders and traversal orders
-        self.expr_dec = SingletonDecoder(
-            [order.expr_single[eid] for eid in universe]
+        expr_dec = MaskDecoder(
+            [pool.objects[eid] for eid in universe],
+            [order.expr_single[eid] for eid in universe],
         )
-        self.var_dec = SingletonDecoder(
-            [order.name_single[name_id] for name_id in var_order]
+        var_dec = MaskDecoder(
+            self.var_names,
+            [order.name_single[name_id] for name_id in var_order],
         )
-        self.site_dec = SingletonDecoder(
-            [frozenset((site,)) for site in self.site_universe]
+        site_dec = MaskDecoder(
+            [(pool.names[name_id], nid) for name_id, nid in sites]
         )
-        self.fwd_rpo = csr_rpo(
-            arena.succ_off, arena.succ_node, arena.start, n
-        )
-        self.bwd_rpo = csr_rpo(
-            arena.pred_off, arena.pred_node, arena.end, n
-        )
-
-
-def solve_arena_bitset(
-    arena: ProgramArena,
-    direction: str,
-    meet_is_union: bool,
-    kill_then_gen: bool,
-    gen: list[int],
-    kill: list[int],
-    boundary_mask: int = 0,
-    initial_mask: int = 0,
-    counter: WorkCounter | None = None,
-    rpo: list[int] | None = None,
-    notkill: list[int] | None = None,
-) -> list[int]:
-    """:func:`~repro.perf.bitset.solve_bitset` over arena adjacency.
-
-    Identical worklist (RPO-index priority heap of the problem's
-    direction), identical transfer, identical boundary handling; returns
-    the fact mask per dense edge.  ``rpo`` may supply the precomputed
-    reverse postorder of the problem's direction (cached per program by
-    :class:`ArenaSpace` so the five solves share two traversals)."""
-    n = arena.n
-    if direction == "forward":
-        in_off, in_edge = arena.pred_off, arena.pred_edge
-        out_off, out_edge = arena.succ_off, arena.succ_edge
-        out_node = arena.succ_node
-        root = arena.start
-    else:
-        in_off, in_edge = arena.succ_off, arena.succ_edge
-        out_off, out_edge = arena.pred_off, arena.pred_edge
-        out_node = arena.pred_node
-        root = arena.end
-    if root < 0:
-        from repro.robust.errors import AnalysisError
-
-        raise AnalysisError(
-            "arena bitset solve without a "
-            + ("start" if direction == "forward" else "end")
-            + " node",
-            phase="solve-arena",
-        )
-
-    if rpo is None:
-        rpo = csr_rpo(out_off, out_node, root, n)
-    position = [0] * n
-    for i, v in enumerate(rpo):
-        position[v] = i
-    if notkill is None:
-        notkill = [~k for k in kill]
-
-    facts = [initial_mask] * arena.m
-    heap = list(range(len(rpo)))
-    in_queue = bytearray(n)
-    for v in rpo:
-        in_queue[v] = 1
-
-    node_visits = 0
-    fact_updates = 0
-    while heap:
-        v = rpo[heappop(heap)]
-        in_queue[v] = 0
-        node_visits += 1
-        if v == root:
-            combined = boundary_mask
-        else:
-            i0 = in_off[v]
-            i1 = in_off[v + 1]
-            if i0 == i1:
-                combined = 0
-            else:
-                combined = facts[in_edge[i0]]
-                if meet_is_union:
-                    for i in range(i0 + 1, i1):
-                        combined |= facts[in_edge[i]]
-                else:
-                    for i in range(i0 + 1, i1):
-                        combined &= facts[in_edge[i]]
-        if kill_then_gen:
-            out = (combined & notkill[v]) | gen[v]
-        else:
-            out = (combined | gen[v]) & notkill[v]
-        for i in range(out_off[v], out_off[v + 1]):
-            e = out_edge[i]
-            if facts[e] != out:
-                facts[e] = out
-                fact_updates += 1
-                w = out_node[i]
-                if not in_queue[w]:
-                    in_queue[w] = 1
-                    heappush(heap, position[w])
-    if counter is not None:
-        counter.tick("arena_node_visits", node_visits)
-        counter.tick("arena_fact_updates", fact_updates)
-    return facts
+        self.problems: dict[str, tuple[BitsetProblem, MaskDecoder]] = {
+            "available": (
+                BitsetProblem("forward", False, False, egen, ekill, 0, efull),
+                expr_dec,
+            ),
+            "anticipatable": (
+                BitsetProblem("backward", False, True, egen, ekill, 0, efull),
+                expr_dec,
+            ),
+            "liveness": (
+                BitsetProblem("backward", True, True, lgen, lkill, 0, 0),
+                var_dec,
+            ),
+            "reaching": (
+                BitsetProblem("forward", True, True, rgen, rkill, 0, 0),
+                site_dec,
+            ),
+        }
 
 
 # -- constant propagation ----------------------------------------------------
@@ -492,7 +340,8 @@ def arena_constprop(
     dead-node set, keyed by original CFG ids."""
     if order is None:
         order = CorpusOrder(pool)
-    n, m = arena.n, arena.m
+    csr = arena.csr
+    n, m = csr.n, csr.m
     node_kind = arena.node_kind
     node_expr = arena.node_expr
     node_target = arena.node_target
@@ -531,12 +380,12 @@ def arena_constprop(
         out[var_pos[binding[0]]] = binding[1]
         return tuple(out)
 
-    succ_off, succ_edge = arena.succ_off, arena.succ_edge
-    pred_off, pred_edge = arena.pred_off, arena.pred_edge
-    edge_dst = arena.edge_dst
+    succ_off, succ_edge = csr.succ_off, csr.succ_edge
+    pred_off, pred_edge = csr.pred_off, csr.pred_edge
+    edge_dst = csr.edge_dst
 
     facts: list[tuple] = [bottom] * m
-    rpo = space.fwd_rpo
+    rpo = rpo_positions(csr, True)[0]
     worklist = deque(rpo)
     queued = bytearray(n)
     for v in rpo:
@@ -631,7 +480,7 @@ def arena_constprop(
 
     result = CFGConstants(
         variables=list(variables),
-        edge_vectors={arena.edge_ids[e]: facts[e] for e in range(m)},
+        edge_vectors={csr.edge_ids[e]: facts[e] for e in range(m)},
     )
     pool_var_ids = pool.var_ids
     names = pool.names
@@ -639,7 +488,7 @@ def arena_constprop(
         kind = node_kind[v]
         if kind == N_START or kind == N_END or kind == N_MERGE or kind == N_NOP:
             continue
-        nid = arena.node_ids[v]
+        nid = csr.node_ids[v]
         in_vector = facts[pred_edge[pred_off[v]]]
         unreached = in_vector == bottom
         if unreached:
@@ -666,7 +515,6 @@ def analyze_arena(
     pool: ExpressionPool,
     order: CorpusOrder | None = None,
     counter: WorkCounter | None = None,
-    live_out: frozenset[str] = frozenset(),
 ) -> dict:
     """All five core analyses of one arena program, decoded to the exact
     shapes the object pipeline produces (``{edge_id: frozenset}`` per
@@ -674,64 +522,15 @@ def analyze_arena(
     if order is None:
         order = CorpusOrder(pool)
     space = ArenaSpace(arena, pool, order)
-
-    boundary = 0
-    lgen = space.lgen
-    var_dec = space.var_dec
-    if live_out:
-        # Rare path (batch analyses run with an empty boundary): extend
-        # the variable universe exactly like liveness_problem does.
-        extra = sorted(set(space.var_names) | set(live_out))
-        pos = {var: i for i, var in enumerate(extra)}
-        remap = [pos[var] for var in space.var_names]
-        lgen = [_remap_mask(mask, remap) for mask in space.lgen]
-        lkill = [_remap_mask(mask, remap) for mask in space.lkill]
-        for var in live_out:
-            boundary |= 1 << pos[var]
-        var_dec = SingletonDecoder([frozenset((var,)) for var in extra])
-    else:
-        lkill = space.lkill
-
-    edge_ids = arena.edge_ids
-    av = solve_arena_bitset(
-        arena, "forward", False, False, space.egen, space.ekill,
-        initial_mask=space.efull, counter=counter, rpo=space.fwd_rpo,
-        notkill=space.enotkill,
-    )
-    ant = solve_arena_bitset(
-        arena, "backward", False, True, space.egen, space.ekill,
-        initial_mask=space.efull, counter=counter, rpo=space.bwd_rpo,
-        notkill=space.enotkill,
-    )
-    live = solve_arena_bitset(
-        arena, "backward", True, True, lgen, lkill,
-        boundary_mask=boundary, counter=counter, rpo=space.bwd_rpo,
-        notkill=space.lnotkill if not live_out else None,
-    )
-    reach = solve_arena_bitset(
-        arena, "forward", True, True, space.rgen, space.rkill,
-        counter=counter, rpo=space.fwd_rpo, notkill=space.rnotkill,
-    )
-    return {
-        "available": space.expr_dec.decode_all(av, edge_ids),
-        "anticipatable": space.expr_dec.decode_all(ant, edge_ids),
-        "liveness": var_dec.decode_all(live, edge_ids),
-        "reaching": space.site_dec.decode_all(reach, edge_ids),
-        "constprop": arena_constprop(
-            arena, pool, space, order=order, counter=counter
-        ),
+    csr = arena.csr
+    result = {
+        name: decoder.decode_all(solve_bitset(csr, problem, counter), csr)
+        for name, (problem, decoder) in space.problems.items()
     }
-
-
-def _remap_mask(mask: int, remap: list[int]) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << remap[i]
-        mask >>= 1
-        i += 1
-    return out
+    result["constprop"] = arena_constprop(
+        arena, pool, space, order=order, counter=counter
+    )
+    return result
 
 
 def analyze_corpus(

@@ -291,21 +291,9 @@ def oracle_bytes_roundtrip(
     arena solve equals the direct object-graph pipeline on the mutant
     for all five analyses the sweep fuses."""
     from repro.arena import ArenaCorpus, ExpressionPool, analyze_corpus
-    from repro.dataflow.bitsets import (
-        anticipatable_bitsets,
-        available_bitsets,
-        liveness_bitsets,
-        reaching_bitsets,
-    )
-    from repro.opt.cfg_constprop import cfg_constant_propagation
+    from repro.dataflow.bitsets import core_dataflow
 
-    direct = {
-        "available": available_bitsets(mutant_graph),
-        "anticipatable": anticipatable_bitsets(mutant_graph),
-        "liveness": liveness_bitsets(mutant_graph),
-        "reaching": reaching_bitsets(mutant_graph),
-        "constprop": cfg_constant_propagation(mutant_graph),
-    }
+    direct = core_dataflow(mutant_graph)
     corpus = ArenaCorpus(ExpressionPool())
     corpus.add(mutant_graph, label="mutant")
     decoded = ArenaCorpus.from_bytes(corpus.to_bytes())

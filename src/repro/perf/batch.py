@@ -49,6 +49,7 @@ from repro.dataflow.available import (
 from repro.dataflow.bitsets import (
     anticipatable_bitsets,
     available_bitsets,
+    core_dataflow,
     expression_space,
     liveness_bitsets,
     reaching_bitsets,
@@ -230,24 +231,12 @@ def _corpus_graphs(suite: list[dict]) -> list[tuple[str, Any]]:
 
 
 def _corpus_legacy(graphs: list[tuple[str, Any]]) -> dict[str, dict]:
-    """The PR-2 fast path, per program: a shared CSR snapshot feeding the
-    four bitset kernels (each building its own expression space, as the
-    registered passes do) plus vector constant propagation.  This is the
-    per-program work the batch driver performs today for the five results
-    the fused arena sweep produces."""
-    from repro.opt.cfg_constprop import cfg_constant_propagation
-
-    out: dict[str, dict] = {}
-    for label, graph in graphs:
-        csr = build_csr(graph)
-        out[label] = {
-            "available": available_bitsets(graph, csr=csr),
-            "anticipatable": anticipatable_bitsets(graph, csr=csr),
-            "liveness": liveness_bitsets(graph, csr=csr),
-            "reaching": reaching_bitsets(graph, csr=csr),
-            "constprop": cfg_constant_propagation(graph),
-        }
-    return out
+    """The PR-2 fast path, per program: the object-side core menu
+    (:func:`~repro.dataflow.bitsets.core_dataflow` -- one CSR snapshot
+    feeding the four bitset kernels, plus vector constant propagation).
+    This is the per-program work the batch driver performs today for the
+    five results the fused arena sweep produces."""
+    return {label: core_dataflow(graph) for label, graph in graphs}
 
 
 def bench_arena_fused(smoke: bool = False, repeat: int = 3) -> dict[str, Any]:

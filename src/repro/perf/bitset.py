@@ -43,12 +43,13 @@ class BitsetProblem:
     otherwise ``(in | gen) & ~kill`` (available expressions).  The
     boundary vertex (start for forward problems, end for backward) has
     its meet input *replaced* by ``boundary_mask`` before the transfer
-    is applied.
+    is applied.  ``notkill`` (the transfer's ``~kill``) is computed once
+    per compiled problem, so re-solving it costs no complement pass.
     """
 
     __slots__ = (
         "direction", "meet_is_union", "kill_then_gen",
-        "gen", "kill", "boundary_mask", "initial_mask",
+        "gen", "kill", "notkill", "boundary_mask", "initial_mask",
     )
 
     def __init__(
@@ -66,8 +67,33 @@ class BitsetProblem:
         self.kill_then_gen = kill_then_gen
         self.gen = gen
         self.kill = kill
+        self.notkill = [~k for k in kill]
         self.boundary_mask = boundary_mask
         self.initial_mask = initial_mask
+
+
+def rpo_positions(
+    csr: "CSRGraph", forward: bool
+) -> tuple[list[int], list[int]]:
+    """Reverse postorder of the nodes reachable from start (``forward``)
+    or, over reversed edges, from end -- plus each node's index in it.
+
+    Memoized on the immutable snapshot under ``("rpo", forward)``, as
+    :mod:`repro.graphs.dominance` memoizes its ``idom`` arrays, so every
+    solve over one snapshot shares one traversal per direction.  Callers
+    must not mutate the returned lists."""
+    key = ("rpo", forward)
+    hit = csr.memo.get(key)
+    if hit is None:
+        if forward:
+            rpo = csr_rpo(csr.succ_off, csr.succ_node, csr.start, csr.n)
+        else:
+            rpo = csr_rpo(csr.pred_off, csr.pred_node, csr.end, csr.n)
+        position = [0] * csr.n
+        for i, v in enumerate(rpo):
+            position[v] = i
+        hit = csr.memo[key] = (rpo, position)
+    return hit
 
 
 def solve_bitset(
@@ -113,13 +139,9 @@ def solve_bitset(
             phase="solve-bitset",
         )
 
-    rpo = csr_rpo(out_off, out_node, root, n)
-    position = [0] * n
-    for i, v in enumerate(rpo):
-        position[v] = i
+    rpo, position = rpo_positions(csr, forward)
 
-    gen, kill = problem.gen, problem.kill
-    notkill = [~k for k in kill]
+    gen, notkill = problem.gen, problem.notkill
     union = problem.meet_is_union
     kill_then_gen = problem.kill_then_gen
     boundary_mask = problem.boundary_mask
@@ -176,6 +198,22 @@ _BYTE_BITS = [
     tuple(j for j in range(8) if b >> j & 1) for b in range(256)
 ]
 
+_WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def _union_bits(singles: list, base: int, word: int) -> frozenset:
+    """Union of ``singles[base + j]`` over the set bits ``j`` of ``word``."""
+    byte_bits = _BYTE_BITS
+    parts = []
+    while word:
+        b = word & 0xFF
+        if b:
+            for j in byte_bits[b]:
+                parts.append(singles[base + j])
+        word >>= 8
+        base += 8
+    return frozenset().union(*parts)
+
 
 class MaskDecoder:
     """Translates int masks back to shared frozensets over one universe.
@@ -183,19 +221,26 @@ class MaskDecoder:
     Facts repeat heavily across edges (and across analyses sharing a
     universe -- AV and ANT of the same graph produce many identical
     masks), so each distinct mask is decoded once and the frozenset
-    shared via ``_cache``.  Decoding unions cached per-byte partial
-    sets: a set union copies entries *with their stored hashes*, so each
-    universe element's (potentially Python-level) ``__hash__`` runs O(1)
-    times total instead of once per distinct mask containing it.
+    shared via ``_cache``.  Decoding never hashes a universe element
+    twice: it unions pre-hashed one-element frozensets (``singles``),
+    and a set union copies entries *with their stored hashes*, so each
+    element's (potentially recursive, Python-level) ``__hash__`` runs
+    once when its singleton is built.  ``singles`` may be supplied --
+    the arena's :class:`~repro.arena.kernels.CorpusOrder` shares
+    corpus-wide ones -- and is otherwise built on the first decode, so a
+    decoder nobody uses costs nothing.  A mask wider than one 64-bit
+    word unions per-``(position, word)`` parts cached in ``_parts``:
+    masks repeat whole words far more often than they repeat wholesale.
 
     Keep one decoder per universe and reuse it across solves to hit both
     caches; :func:`decode_masks` is the one-shot convenience wrapper.
     """
 
-    __slots__ = ("universe", "_cache", "_parts")
+    __slots__ = ("universe", "singles", "_cache", "_parts")
 
-    def __init__(self, universe: list) -> None:
+    def __init__(self, universe: list, singles: list | None = None) -> None:
         self.universe = universe
+        self.singles = singles
         self._cache: dict[int, frozenset] = {0: frozenset()}
         self._parts: dict[tuple[int, int], frozenset] = {}
 
@@ -203,40 +248,33 @@ class MaskDecoder:
         """The frozenset of universe elements whose bits are set."""
         value = self._cache.get(mask)
         if value is None:
-            parts_cache = self._parts
-            parts = []
-            rest = mask
-            k = 0
-            # Chunk into 64-bit words: masks repeat whole words far more
-            # often than they repeat wholesale, so the per-(position,
-            # word) parts almost always hit the cache.
-            while rest:
-                word = rest & 0xFFFFFFFFFFFFFFFF
-                if word:
-                    key = (k, word)
-                    part = parts_cache.get(key)
-                    if part is None:
-                        part = self._build_part(k * 64, word)
-                        parts_cache[key] = part
-                    parts.append(part)
-                rest >>= 64
-                k += 1
-            value = frozenset().union(*parts)
+            singles = self.singles
+            if singles is None:
+                singles = self.singles = [
+                    frozenset((item,)) for item in self.universe
+                ]
+            if mask <= _WORD:
+                value = _union_bits(singles, 0, mask)
+            else:
+                parts_cache = self._parts
+                parts = []
+                rest = mask
+                k = 0
+                while rest:
+                    word = rest & _WORD
+                    if word:
+                        key = (k, word)
+                        part = parts_cache.get(key)
+                        if part is None:
+                            part = parts_cache[key] = _union_bits(
+                                singles, k * 64, word
+                            )
+                        parts.append(part)
+                    rest >>= 64
+                    k += 1
+                value = frozenset().union(*parts)
             self._cache[mask] = value
         return value
-
-    def _build_part(self, base: int, word: int) -> frozenset:
-        universe = self.universe
-        byte_bits = _BYTE_BITS
-        items = []
-        while word:
-            b = word & 0xFF
-            if b:
-                for j in byte_bits[b]:
-                    items.append(universe[base + j])
-            word >>= 8
-            base += 8
-        return frozenset(items)
 
     def decode_all(
         self, facts: list[int], csr: "CSRGraph"

@@ -20,13 +20,19 @@ from.  The ``csr`` pass registered in
 :mod:`repro.pipeline.passes` is shape-only (``uses_exprs=False``), so
 the analysis manager drops it exactly when the graph's shape changes and
 keeps it warm across expression rewrites; :func:`CSRGraph.check` guards
-direct callers that hold a snapshot across mutations.
+direct callers that hold a snapshot across mutations.  A *graph-less*
+snapshot (:meth:`CSRGraph.from_tables`, the arena wire decoder's
+product) describes shipped arrays rather than a live CFG, so it can
+never go stale.
 """
 
 from __future__ import annotations
 
+from operator import gt
+from typing import NoReturn
+
 from repro.cfg.graph import CFG
-from repro.robust.errors import StaleSnapshotError
+from repro.robust.errors import InputError, StaleSnapshotError
 
 
 class CSRGraph:
@@ -104,10 +110,74 @@ class CSRGraph:
         self.end = node_index[graph.end] if graph.end in node_index else -1
 
         #: Kernel scratch memo.  A snapshot is immutable, so derived
-        #: arrays (dominator idoms, Euler tours) computed by one kernel
-        #: are valid for every later kernel on the same snapshot; the
-        #: dominance module keys entries by (kind, direction).
+        #: arrays (dominator idoms, Euler tours, reverse postorders)
+        #: computed by one kernel are valid for every later kernel on
+        #: the same snapshot; entries are keyed by (kind, direction).
         self.memo: dict = {}
+
+    @classmethod
+    def from_tables(
+        cls,
+        node_ids: list[int],
+        edge_ids: list[int],
+        edge_src: list[int],
+        edge_dst: list[int],
+        succ_off: list[int],
+        succ_node: list[int],
+        succ_edge: list[int],
+        pred_off: list[int],
+        pred_node: list[int],
+        pred_edge: list[int],
+        start: int,
+        end: int,
+    ) -> "CSRGraph":
+        """A graph-less snapshot over decoded arrays (no CFG behind it).
+
+        The tables are untrusted wire data, so they are validated before
+        any kernel indexes them: offsets start at 0, never decrease and
+        end at ``m``; node and edge indices are in range; ``start`` and
+        ``end`` name nodes.  Any violation raises
+        :class:`~repro.robust.errors.InputError` (never ``assert``, so
+        the check survives ``python -O``).
+        """
+        n, m = len(node_ids), len(edge_ids)
+        for name, off in (("succ_off", succ_off), ("pred_off", pred_off)):
+            if (
+                len(off) != n + 1 or off[0] != 0 or off[-1] != m
+                or any(map(gt, off, off[1:]))
+            ):
+                _malformed(f"{name} is not a 0..{m} offset table")
+        tables = (
+            ("edge_src", edge_src, n), ("edge_dst", edge_dst, n),
+            ("succ_node", succ_node, n), ("pred_node", pred_node, n),
+            ("succ_edge", succ_edge, m), ("pred_edge", pred_edge, m),
+        )
+        for name, table, bound in tables:
+            if len(table) != m or (
+                table and (min(table) < 0 or max(table) >= bound)
+            ):
+                _malformed(f"{name} indexes past its {bound}-entry table")
+        if not (0 <= start < n and 0 <= end < n):
+            _malformed(f"start/end ({start}, {end}) outside {n} nodes")
+
+        csr = cls.__new__(cls)
+        csr.graph = None
+        csr.shape_version = None
+        csr.n, csr.m = n, m
+        csr.node_ids = node_ids
+        csr.node_index = dict(zip(node_ids, range(n)))
+        csr.edge_ids = edge_ids
+        csr.edge_index = dict(zip(edge_ids, range(m)))
+        csr.edge_src, csr.edge_dst = edge_src, edge_dst
+        csr.succ_off, csr.succ_node, csr.succ_edge = (
+            succ_off, succ_node, succ_edge
+        )
+        csr.pred_off, csr.pred_node, csr.pred_edge = (
+            pred_off, pred_node, pred_edge
+        )
+        csr.start, csr.end = start, end
+        csr.memo = {}
+        return csr
 
     @staticmethod
     def _offsets(degrees) -> list[int]:
@@ -122,8 +192,12 @@ class CSRGraph:
 
     @property
     def fresh(self) -> bool:
-        """Does this snapshot still describe the graph's current shape?"""
-        return self.shape_version == self.graph.shape_version
+        """Does this snapshot still describe the graph's current shape?
+        A graph-less snapshot describes only itself, so it always does."""
+        return (
+            self.graph is None
+            or self.shape_version == self.graph.shape_version
+        )
 
     def check(self) -> "CSRGraph":
         """Raise if the underlying CFG mutated since the snapshot."""
@@ -151,6 +225,10 @@ class CSRGraph:
             f"CSRGraph({self.n} nodes, {self.m} edges, "
             f"shape_version={self.shape_version})"
         )
+
+
+def _malformed(detail: str) -> NoReturn:
+    raise InputError(f"malformed CSR tables: {detail}", phase="arena-decode")
 
 
 def build_csr(graph: CFG) -> CSRGraph:

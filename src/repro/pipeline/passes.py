@@ -5,20 +5,21 @@
     cfg ─┬─ csr ─┬─ dfs
          │       ├─ dom ──────────┐
          │       ├─ pdom ─┬─ cdg  │
-         │       └─ cycle-equiv ──┴─ sese ─┬─ dfg ─┬─ ssa ── sccp
-         │                                 │       ├─ constprop
-         │                                 │       └─ (copyprop, EPR too)
-         │                                 └─ regions ── region-summaries
-         ├─ liveness
-         ├─ reaching
-         ├─ available / pavailable
+         │       ├─ cycle-equiv ──┴─ sese ─┬─ dfg ─┬─ ssa ── sccp
+         │       │                         │       ├─ constprop
+         │       │                         │       └─ (copyprop, EPR too)
+         │       │                         └─ regions ── region-summaries
+         │       ├─ liveness / reaching
+         │       ├─ available / pavailable
+         │       └─ arena ── arena-dataflow
          ├─ defuse ── constprop-defuse
-         ├─ constprop-cfg
-         └─ arena ── arena-dataflow
+         └─ constprop-cfg
 
 The ``csr`` pass snapshots the CFG into flat arrays
-(:class:`repro.perf.csr.CSRGraph`); the graph-structure passes all run
-on it, so the snapshot is built once per CFG shape version and shared.
+(:class:`repro.perf.csr.CSRGraph`); the graph-structure passes, the
+bitset dataflow passes and the arena all run on it, so the snapshot --
+and everything memoized on it, such as each direction's reverse
+postorder -- is built once per CFG shape version and shared.
 
 Shape-only passes (``uses_exprs=False``) read the graph's nodes, edges
 and assignment targets but never an expression: dominance, cycle
@@ -303,15 +304,15 @@ def _scvn(graph, deps, counter):
 
 
 @_REGISTRY.register(
-    "arena", deps=("cfg",),
-    description="struct-of-arrays arena lowering over an interned "
-                "expression pool",
+    "arena", deps=("cfg", "csr"),
+    description="arena lowering: node/edge payload interned into an "
+                "expression pool over the CSR snapshot",
 )
 def _arena(graph, deps, counter):
     from repro.arena import ExpressionPool, lower_cfg
 
     pool = ExpressionPool(counter=counter)
-    return (pool, lower_cfg(graph, pool, counter=counter))
+    return (pool, lower_cfg(graph, pool, counter=counter, csr=deps["csr"]))
 
 
 @_REGISTRY.register(
@@ -329,8 +330,9 @@ def _arena_dataflow(graph, deps, counter):
 def _arena_encode(result) -> bytes:
     """Export the ``arena`` pass as its RPA1 wire payload (a one-program
     corpus) instead of a pickle: the versioned varint format is smaller,
-    and decode rebuilds the pool's derived tables from scratch -- a
-    detach by construction."""
+    and decode validates the tables and rebuilds the pool's derived
+    tables and a graph-less CSR snapshot from scratch -- a detach by
+    construction."""
     from repro.arena.arena import ArenaCorpus
 
     pool, arena = result

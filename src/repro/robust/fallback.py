@@ -137,24 +137,11 @@ def _oracle_region_summaries(graph, deps, counter):
 
 
 def _oracle_arena_dataflow(graph, deps, counter):
-    """Object-graph twin of the fused arena solve: the four bitset
-    analyses plus vector constant propagation, result shapes matching
-    :func:`repro.arena.kernels.analyze_arena`."""
-    from repro.dataflow.bitsets import (
-        anticipatable_bitsets,
-        available_bitsets,
-        liveness_bitsets,
-        reaching_bitsets,
-    )
-    from repro.opt.cfg_constprop import cfg_constant_propagation
+    """Object-graph twin of the fused arena solve: the same five-analysis
+    menu over the flat object pipeline."""
+    from repro.dataflow.bitsets import core_dataflow
 
-    return {
-        "available": available_bitsets(graph),
-        "anticipatable": anticipatable_bitsets(graph),
-        "liveness": liveness_bitsets(graph),
-        "reaching": reaching_bitsets(graph),
-        "constprop": cfg_constant_propagation(graph, counter),
-    }
+    return core_dataflow(graph, counter=counter)
 
 
 def _oracle_defuse(graph, deps, counter):
@@ -253,20 +240,13 @@ def _facts_eq(a, b) -> bool:
 
 
 def _arena_eq(a, b) -> bool:
-    """Two ``(pool, arena)`` lowerings are the same answer when their
-    shipped core tables match -- every derived pool table is a function
-    of those, and :class:`~repro.arena.arena.ProgramArena` compares by
-    value."""
-    pool_a, arena_a = a
-    pool_b, arena_b = b
+    """Two ``(pool, arena)`` lowerings are the same answer exactly when
+    their RPA1 encodings are equal."""
+    from repro.arena.arena import ArenaCorpus
+
     return (
-        pool_a.names == pool_b.names
-        and pool_a.literals == pool_b.literals
-        and pool_a.kind == pool_b.kind
-        and pool_a.arg0 == pool_b.arg0
-        and pool_a.arg1 == pool_b.arg1
-        and pool_a.arg2 == pool_b.arg2
-        and arena_a == arena_b
+        ArenaCorpus(a[0], [a[1]]).to_bytes()
+        == ArenaCorpus(b[0], [b[1]]).to_bytes()
     )
 
 

@@ -38,7 +38,7 @@ OPS = SOURCE_OPS + ("batch-sarif", "edit", "ping", "stats", "shutdown")
 #: import/export set.  ``lint`` runs its own rule registry and is cached
 #: as an op-level document instead (see ``OP_BLOBS``).
 OP_PASSES: dict[str, tuple[str, ...]] = {
-    "analyze": ("sese", "dfg", "constprop", "arena"),
+    "analyze": ("sese", "dfg", "constprop"),
     "constprop": ("dfg", "constprop"),
     "lint": (),
 }

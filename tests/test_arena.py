@@ -1,14 +1,17 @@
 """Arena IR: lowering fidelity, interning determinism, fused solving.
 
-The arena subsystem (PR 7) re-represents whole corpora as flat
-struct-of-arrays tables over one shared expression pool.  These tests
-pin the three contracts the rest of the repo leans on:
+The arena subsystem re-represents whole corpora as interned node/edge
+payload over CSR snapshots, sharing one expression pool.  These tests
+pin the contracts the rest of the repo leans on:
 
-* **structural equivalence** -- lowering a CFG yields exactly the CSR
-  snapshot's enumeration and adjacency, plus faithful node/edge
+* **structural equivalence** -- a program decoded from the wire carries
+  exactly the CSR snapshot of its CFG, plus faithful node/edge
   payloads, across the whole (smoke) equivalence corpus;
 * **determinism** -- interned ids and the serialized corpus bytes are
-  functions of insertion order only, never of the process hash seed;
+  functions of insertion order only, never of the process hash seed,
+  and the RPA1 bytes are pinned across commits;
+* **validation** -- a well-framed payload whose tables index out of
+  range is rejected at decode with a typed ``InputError``;
 * **fused solving** -- one corpus sweep matches the per-program object
   pipeline byte-for-byte and performs *zero* interning work (the pool
   is read-only after lowering, which is what makes the batch-mode
@@ -19,6 +22,8 @@ import hashlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 from repro.arena import (
     ArenaCorpus,
@@ -31,7 +36,11 @@ from repro.arena.arena import KIND_INDEX
 from repro.cfg.graph import NodeKind
 from repro.perf.batch import _corpus_graphs, _corpus_legacy, equivalence_suite
 from repro.perf.csr import build_csr
+from repro.pipeline.manager import AnalysisManager
+from repro.robust.errors import InputError
+from repro.robust.fallback import results_equal
 from repro.util.counters import WorkCounter
+from repro.util.metrics import Metrics
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -47,30 +56,21 @@ def smoke_corpus() -> tuple[list, ArenaCorpus]:
 # -- structural equivalence ---------------------------------------------------
 
 
-def test_lowering_matches_csr_across_corpus():
+def test_decoded_programs_carry_the_csr_snapshot():
     graphs, corpus = smoke_corpus()
-    for (label, graph), arena in zip(graphs, corpus.programs):
-        csr = build_csr(graph)
+    decoded = ArenaCorpus.from_bytes(corpus.to_bytes())
+    assert len(decoded.programs) == len(graphs)
+    for (label, graph), arena in zip(graphs, decoded.programs):
         assert arena.label == label
-        assert arena.n == csr.n and arena.m == csr.m
-        assert arena.node_ids == csr.node_ids
-        assert arena.edge_ids == csr.edge_ids
-        assert arena.edge_src == csr.edge_src
-        assert arena.edge_dst == csr.edge_dst
-        assert arena.succ_off == csr.succ_off
-        assert arena.succ_node == csr.succ_node
-        assert arena.succ_edge == csr.succ_edge
-        assert arena.pred_off == csr.pred_off
-        assert arena.pred_node == csr.pred_node
-        assert arena.pred_edge == csr.pred_edge
-        assert arena.start == csr.start and arena.end == csr.end
+        assert arena.csr.graph is None and arena.csr.fresh
+        assert results_equal("csr", arena.csr, build_csr(graph))
 
 
 def test_lowering_payloads_decode_back_to_the_cfg():
     graphs, corpus = smoke_corpus()
     pool = corpus.pool
     for (_, graph), arena in zip(graphs, corpus.programs):
-        for i, nid in enumerate(arena.node_ids):
+        for i, nid in enumerate(arena.csr.node_ids):
             node = graph.node(nid)
             assert arena.node_kind[i] == KIND_INDEX[node.kind]
             if node.kind is NodeKind.ASSIGN:
@@ -83,7 +83,7 @@ def test_lowering_payloads_decode_back_to_the_cfg():
                 assert pool.objects[arena.node_expr[i]] == node.expr
             else:
                 assert arena.node_expr[i] == -1
-        for i, eid in enumerate(arena.edge_ids):
+        for i, eid in enumerate(arena.csr.edge_ids):
             label = graph.edges[eid].label
             if label is None:
                 assert arena.edge_label[i] == -1
@@ -138,6 +138,18 @@ def test_interned_ids_are_hash_seed_deterministic():
     assert hashlib.sha256(corpus.to_bytes()).hexdigest() == digests.pop()
 
 
+def test_smoke_corpus_bytes_are_pinned():
+    # A format drift would orphan every arena entry in the daemon's disk
+    # cache and every shipped batch chunk: RPA1 changes need a version
+    # bump, never a silent re-encoding.
+    _, corpus = smoke_corpus()
+    wire = corpus.to_bytes()
+    assert len(wire) == 19522
+    assert hashlib.sha256(wire).hexdigest() == (
+        "8589aede2941d33fa1b96e16119a4c6fa99453b4e978388a1f5b4b6577874b96"
+    )
+
+
 def test_bytes_roundtrip_is_identity():
     _, corpus = smoke_corpus()
     wire = corpus.to_bytes()
@@ -179,3 +191,42 @@ def test_single_program_matches_corpus_row():
     solo_pool = ExpressionPool()
     solo = lower_cfg(graph, solo_pool, label=label)
     assert analyze_arena(solo, solo_pool) == analyze_corpus(corpus)[label]
+
+
+# -- decode-time validation ---------------------------------------------------
+
+
+def _corrupted_blob(damage) -> bytes:
+    """A well-framed one-program RPA1 payload whose snapshot tables were
+    damaged by ``damage(csr)`` before encoding."""
+    graphs, _ = smoke_corpus()
+    pool = ExpressionPool()
+    arena = lower_cfg(graphs[0][1], pool)
+    damage(arena.csr)
+    return ArenaCorpus(pool, [arena]).to_bytes()
+
+
+def _point_succ_past_the_nodes(csr) -> None:
+    csr.succ_node[0] = 99
+
+
+def _point_start_past_the_nodes(csr) -> None:
+    csr.start = 50
+
+
+@pytest.mark.parametrize(
+    "damage", [_point_succ_past_the_nodes, _point_start_past_the_nodes]
+)
+def test_out_of_range_tables_are_rejected_at_decode(damage):
+    blob = _corrupted_blob(damage)
+    with pytest.raises(InputError) as info:
+        ArenaCorpus.from_bytes(blob)
+    if info.value.phase != "arena-decode":
+        pytest.fail(f"wrong phase {info.value.phase!r}")
+
+    # The serve cache path: importing the blob fails typed, before any
+    # dependent pass can index the bad table.
+    graphs, _ = smoke_corpus()
+    manager = AnalysisManager(graphs[0][1], metrics=Metrics())
+    with pytest.raises(InputError):
+        manager.import_result("arena", blob)
