@@ -29,7 +29,9 @@ sections in fixed order (pool names, pool literals, expression rows,
 then each program's node/edge/adjacency arrays).  All integers are
 LEB128 varints; signed values (literals, ``-1`` sentinels) are zigzag
 encoded; strings are length-prefixed UTF-8.  Any magic/version mismatch,
-truncation, or adjacency table that indexes out of range raises
+truncation, adjacency table that indexes out of range, payload id
+(node kind, target, expression, edge label) outside its table, or pool
+row whose literal, name, operator or operand id is out of range raises
 :class:`~repro.robust.errors.InputError` -- never a bare struct or
 index error -- so the robust layer can quarantine a corrupt payload
 with context.
@@ -216,6 +218,18 @@ class ArenaCorpus:
             node_target, node_expr = svs(n), svs(n)
             edge_ids, edge_src, edge_dst = uvs(m), uvs(m), uvs(m)
             edge_label = svs(m)
+            for table, values, bound in (
+                ("node_kind", node_kind, len(KIND_TAGS)),
+                ("node_target", node_target, len(pool.names)),
+                ("node_expr", node_expr, len(pool.kind)),
+                ("edge_label", edge_label, len(pool.names)),
+            ):
+                if values and not -1 <= min(values) <= max(values) < bound:
+                    raise InputError(
+                        f"arena program {label!r}: {table} holds an id "
+                        f"outside [-1, {bound})",
+                        phase="arena-decode",
+                    )
             csr = CSRGraph.from_tables(
                 node_ids, edge_ids, edge_src, edge_dst,
                 uvs(n + 1), uvs(m), uvs(m),

@@ -234,9 +234,33 @@ class ExpressionPool:
         self._ranks = None
         self.name_index = {name: i for i, name in enumerate(self.names)}
         self.literal_index = {v: i for i, v in enumerate(self.literals)}
+        # Per kind tag: the bound of ``arg0`` (its literal, name or
+        # operator table) and how many of ``arg1``/``arg2`` are operands.
+        shape = {
+            K_INT: (len(self.literals), 0),
+            K_VAR: (len(self.names), 0),
+            K_BIN: (len(BINARY_OPS), 2),
+            K_UN: (len(UNARY_OPS), 1),
+            K_INDEX: (len(self.names), 1),
+            K_UPDATE: (len(self.names), 2),
+        }
         for eid in range(len(self.kind)):
             kind = self.kind[eid]
             a0, a1, a2 = self.arg0[eid], self.arg1[eid], self.arg2[eid]
+            bound, arity = shape.get(kind, (0, 0))
+            # Operands must be earlier rows: ids are handed out bottom-up,
+            # and a negative id would silently index from the end.
+            if not (
+                0 <= a0 < bound
+                and all(0 <= kid < eid for kid in (a1, a2)[:arity])
+            ):
+                from repro.robust.errors import InputError
+
+                raise InputError(
+                    f"corrupt expression pool: row {eid} "
+                    f"(kind {kind}, args {a0}, {a1}, {a2}) is out of range",
+                    phase="arena-decode",
+                )
             if kind == K_INT:
                 canon: Expr = IntLit(self.literals[a0])
                 var_ids: tuple[int, ...] = ()
@@ -264,7 +288,7 @@ class ExpressionPool:
                 var_ids = self._merge((a0,), self.var_ids[a1])
                 triv = False
                 kids = (a1,)
-            elif kind == K_UPDATE:
+            else:  # K_UPDATE
                 canon = Update(
                     self.names[a0], self.objects[a1], self.objects[a2]
                 )
@@ -273,13 +297,6 @@ class ExpressionPool:
                 )
                 triv = False
                 kids = (a1, a2)
-            else:
-                from repro.robust.errors import InputError
-
-                raise InputError(
-                    f"corrupt expression pool: unknown kind tag {kind}",
-                    phase="arena-decode",
-                )
             self.objects.append(canon)
             self.reprs.append(repr(canon))
             self.trivial.append(triv)
@@ -296,3 +313,4 @@ class ExpressionPool:
         for group in groups:
             seen.update(group)
         return tuple(sorted(seen))
+

@@ -10,8 +10,8 @@ mechanically at scale:
   transforms (plus deliberately semantics-*changing* planted miscompiles
   for recall scoring);
 * :mod:`repro.fuzz.oracles` holds every mutant to the theorem-derived
-  equivalences (four constant propagators, reference-vs-CSR kernels,
-  interpreter I/O, structural invariants);
+  equivalences (four constant propagators, every declared
+  fast/reference twin, interpreter I/O, structural invariants);
 * :mod:`repro.fuzz.triage` shrinks and fingerprints any divergence into
   a checked-in reproducer;
 * :mod:`repro.fuzz.harness` drives the seeded, byte-deterministic sweep

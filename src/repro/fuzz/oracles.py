@@ -15,29 +15,22 @@ acceptance contract) guarantees:
     classify a use constant, the values agree -- and the all-paths
     baseline never beats a possible-paths engine outside proven-dead
     nodes.
-``dataflow``
-    The PR-2 contract: the six bitset dataflow kernels produce results
-    identical to the reference solvers on the mutant.
+``twin``
+    Every declared fast/reference twin
+    (:func:`repro.pipeline.passes.twin_pairs`: the CSR structure
+    kernels, SESE, the bitset dataflow kernels, the hierarchical
+    region-summary solve, the fused arena sweep, the sparse-engine
+    clients and Cytron SSA) gives
+    the same answer as its reference on the mutant, under the twin's
+    declared equality -- one check per twin.
 ``structure``
-    Reference-vs-CSR agreement for DFS/dominators/cycle equivalence,
-    plus per-mutator metamorphic invariants: region wrapping cannot
-    *reduce* the canonical SESE region count; a dependence-legal reorder
-    keeps the CFG shape and the cycle-equivalence partition size.
+    Per-mutator metamorphic invariants: region wrapping cannot *reduce*
+    the canonical SESE region count; a dependence-legal reorder keeps
+    the CFG shape and the cycle-equivalence partition size.
 ``determinism``
     DFG port-order determinism: building the dependence graph twice from
     fresh copies must serialize identically (the PR-1 contract the
     byte-deterministic payloads depend on).
-``hierarchical-vs-flat``
-    The PR-6 contract: solving the four core analyses bottom-up/top-down
-    over the region-summary hierarchy yields fact masks identical to the
-    flat bitset fixpoint on the mutant (distributivity of bitvector
-    frameworks over the closure-verified system construction).
-``sparse-vs-dense``
-    The PR-9 contract: every client of the parameterized sparse engine
-    (def-use chains, SSA construction, interval ranges, taint, NTSCD)
-    agrees with its dense reference twin on the mutant -- chain sets
-    equal, SSA overlays identical field by field, and the range/taint/
-    control-dependence fact surfaces byte-equal.
 ``bytes-roundtrip``
     The PR-7 contract: lowering the mutant into an arena corpus,
     serializing it, deserializing and running the fused arena sweep must
@@ -171,25 +164,19 @@ def oracle_constprop(base_graph, mutant_graph, context: Mapping) -> Verdict:
     return Verdict("constprop", True, checks)
 
 
-def oracle_dataflow(base_graph, mutant_graph, context: Mapping) -> Verdict:
-    from repro.perf.batch import (
-        _dataflow_fast,
-        _dataflow_legacy,
-        _results_identical,
-    )
+def oracle_twin(base_graph, mutant_graph, context: Mapping) -> Verdict:
+    """Each declared twin's fast side equals its reference on the mutant."""
+    from repro.pipeline.passes import twin_pairs
 
-    legacy = _dataflow_legacy(mutant_graph)
-    fast = _dataflow_fast(mutant_graph)
-    mismatched = sorted(
-        key for key in legacy if legacy[key] != fast[key]
-    )
-    if not _results_identical(legacy, fast):
-        return Verdict(
-            "dataflow", False, len(legacy),
-            detail=f"bitset kernels diverge from reference on "
-                   f"{mismatched or sorted(legacy)}",
-        )
-    return Verdict("dataflow", True, len(legacy))
+    checks = 0
+    for name, fast, reference, equal in twin_pairs(mutant_graph):
+        checks += 1
+        if not equal(fast(), reference()):
+            return Verdict(
+                "twin", False, checks,
+                detail=f"{name}: fast kernel diverges from its reference twin",
+            )
+    return Verdict("twin", True, checks)
 
 
 def _region_count(graph) -> int:
@@ -201,25 +188,7 @@ def _class_count(graph) -> int:
 
 
 def oracle_structure(base_graph, mutant_graph, context: Mapping) -> Verdict:
-    from repro.perf.batch import (
-        _results_identical,
-        _structure_fast,
-        _structure_legacy,
-    )
-
-    legacy = _structure_legacy(mutant_graph)
-    fast = _structure_fast(mutant_graph)
-    checks = len(legacy)
-    if not _results_identical(legacy, fast):
-        mismatched = sorted(
-            key for key in legacy
-            if key in ("dfs", "cycle-equiv") and legacy[key] != fast[key]
-        )
-        return Verdict(
-            "structure", False, checks,
-            detail=f"CSR kernels diverge from reference on "
-                   f"{mismatched or 'dominators'}",
-        )
+    checks = 0
     for expectation in context.get("expectations", ()):
         checks += 1
         if expectation == "regions_nondecrease":
@@ -247,43 +216,6 @@ def oracle_structure(base_graph, mutant_graph, context: Mapping) -> Verdict:
     return Verdict("structure", True, checks)
 
 
-def oracle_hierarchical_vs_flat(
-    base_graph, mutant_graph, context: Mapping
-) -> Verdict:
-    """The PR-6 contract: the hierarchical region-summary solve of the
-    four core analyses is mask-identical to the flat bitset solve on the
-    mutant.  Bitvector frameworks are distributive, so a summarized
-    fixpoint applied to the real boundary must equal the flat fixpoint
-    (paper Theorem 1 + the closure-verified system construction)."""
-    from repro.perf.bitset import solve_bitset
-    from repro.perf.csr import build_csr
-    from repro.regions.hierarchical import (
-        build_region_systems,
-        core_problems,
-        solve_hierarchical,
-    )
-
-    csr = build_csr(mutant_graph)
-    regions = build_region_systems(mutant_graph)
-    problems = core_problems(mutant_graph, csr)
-    checks = 0
-    for name in sorted(problems):
-        flat = solve_bitset(csr, problems[name])
-        hier = solve_hierarchical(csr, regions, problems[name])
-        checks += 1
-        if flat != hier:
-            bad = [
-                csr.edge_ids[e] for e in range(csr.m) if flat[e] != hier[e]
-            ]
-            return Verdict(
-                "hierarchical-vs-flat", False, checks,
-                detail=f"{name}: hierarchical solve diverges from flat "
-                       f"bitset solve on edges {bad[:8]} "
-                       f"({regions.dissolved} dissolved regions)",
-            )
-    return Verdict("hierarchical-vs-flat", True, checks)
-
-
 def oracle_bytes_roundtrip(
     base_graph, mutant_graph, context: Mapping
 ) -> Verdict:
@@ -308,73 +240,6 @@ def oracle_bytes_roundtrip(
                        f"object-graph pipeline",
             )
     return Verdict("bytes-roundtrip", True, checks)
-
-
-def _ssa_snapshot(ssa):
-    """The full comparison surface of an SSA overlay: names at every
-    def/use/entry site plus each phi's result and per-edge arguments."""
-    return (
-        sorted(ssa.def_names.items()),
-        sorted(ssa.use_names.items()),
-        sorted(ssa.entry_names.items()),
-        sorted(
-            (nid, var, phi.result, tuple(sorted(phi.args.items())))
-            for nid, by_var in ssa.phis.items()
-            for var, phi in by_var.items()
-        ),
-    )
-
-
-def oracle_sparse_vs_dense(
-    base_graph, mutant_graph, context: Mapping
-) -> Verdict:
-    """The PR-9 contract: sparse-engine clients equal their dense
-    reference twins on the mutant."""
-    from repro.controldep.ntscd import ntscd, ntscd_reference
-    from repro.defuse.chains import (
-        build_def_use_chains,
-        build_def_use_chains_reference,
-    )
-    from repro.sparse.range_analysis import (
-        range_analysis,
-        range_analysis_reference,
-    )
-    from repro.sparse.taint import taint_analysis, taint_analysis_reference
-    from repro.ssa.cytron import build_ssa_cytron, build_ssa_cytron_reference
-
-    def chain_set(chains):
-        return {(c.var, c.def_node, c.use_node) for c in chains.chains}
-
-    pairs = {
-        "chains": lambda g: chain_set(build_def_use_chains(g)),
-        "chains-ref": lambda g: chain_set(build_def_use_chains_reference(g)),
-        "ssa": lambda g: _ssa_snapshot(build_ssa_cytron(g)),
-        "ssa-ref": lambda g: _ssa_snapshot(build_ssa_cytron_reference(g)),
-        "ssa-pruned": lambda g: _ssa_snapshot(
-            build_ssa_cytron(g, pruned=True)
-        ),
-        "ssa-pruned-ref": lambda g: _ssa_snapshot(
-            build_ssa_cytron_reference(g, pruned=True)
-        ),
-        "range": lambda g: range_analysis(g).facts(),
-        "range-ref": lambda g: range_analysis_reference(g).facts(),
-        "taint": lambda g: taint_analysis(g).facts(),
-        "taint-ref": lambda g: taint_analysis_reference(g).facts(),
-        "ntscd": lambda g: ntscd(g).facts(),
-        "ntscd-ref": lambda g: ntscd_reference(g).facts(),
-    }
-    checks = 0
-    for client in ("chains", "ssa", "ssa-pruned", "range", "taint", "ntscd"):
-        fast = pairs[client](mutant_graph)
-        dense = pairs[f"{client}-ref"](mutant_graph)
-        checks += 1
-        if fast != dense:
-            return Verdict(
-                "sparse-vs-dense", False, checks,
-                detail=f"{client}: sparse client diverges from its dense "
-                       f"reference twin",
-            )
-    return Verdict("sparse-vs-dense", True, checks)
 
 
 def dfg_digest(graph) -> str:
@@ -407,12 +272,10 @@ def oracle_determinism(base_graph, mutant_graph, context: Mapping) -> Verdict:
 ORACLES: dict[str, Callable] = {
     "io": oracle_io,
     "constprop": oracle_constprop,
-    "dataflow": oracle_dataflow,
+    "twin": oracle_twin,
     "structure": oracle_structure,
     "determinism": oracle_determinism,
-    "hierarchical-vs-flat": oracle_hierarchical_vs_flat,
     "bytes-roundtrip": oracle_bytes_roundtrip,
-    "sparse-vs-dense": oracle_sparse_vs_dense,
 }
 
 #: Oracles that execute the program.

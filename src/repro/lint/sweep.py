@@ -3,7 +3,6 @@
 Two populations:
 
 * the **equivalence corpus** (the 204-program population of
-  ``tests/test_perf_equivalence.py``, via
   :func:`repro.perf.batch.equivalence_suite`): every program is linted
   with verification on, and the sweep asserts **zero unverified definite
   findings** -- a definite finding either earns an independent witness

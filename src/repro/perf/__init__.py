@@ -14,8 +14,10 @@ Three layers, mirroring the plan in DESIGN.md section 8:
   / ``repro batch`` workload drivers.
 
 Everything here is a *fast path*: each kernel has a dict-based legacy
-twin that remains the differential-testing oracle
-(``tests/test_perf_equivalence.py`` holds the equivalence suite).
+twin, declared next to the pass registry
+(:func:`repro.pipeline.passes.twin_pairs`), that remains the
+differential-testing oracle (``tests/test_perf_equivalence.py`` holds
+the equivalence suite).
 """
 
 from repro.perf.csr import CSRGraph, build_csr

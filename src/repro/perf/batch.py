@@ -34,18 +34,7 @@ import time
 from typing import Any, Callable
 
 from repro.cfg.builder import build_cfg
-from repro.controldep.cycle_equiv import (
-    cycle_equivalence,
-    cycle_equivalence_reference,
-)
-from repro.dataflow.anticipatable import (
-    anticipatable_expressions_reference,
-    partially_anticipatable_expressions_reference,
-)
-from repro.dataflow.available import (
-    available_expressions_reference,
-    partially_available_expressions_reference,
-)
+from repro.controldep.cycle_equiv import cycle_equivalence
 from repro.dataflow.bitsets import (
     anticipatable_bitsets,
     available_bitsets,
@@ -54,17 +43,15 @@ from repro.dataflow.bitsets import (
     liveness_bitsets,
     reaching_bitsets,
 )
-from repro.dataflow.liveness import live_variables_reference
-from repro.dataflow.reaching import reaching_definitions_reference
-from repro.graphs.dfs import depth_first_search, depth_first_search_csr
+from repro.graphs.dfs import depth_first_search_csr
 from repro.graphs.dominance import (
-    dominator_tree,
+    cfg_dominators,
+    cfg_postdominators,
     edge_dominators,
-    edge_dominators_reference,
     edge_postdominators,
-    edge_postdominators_reference,
 )
 from repro.perf.csr import build_csr
+from repro.pipeline.passes import default_registry, twin_pairs
 from repro.workloads.generators import (
     array_program,
     irreducible_program,
@@ -106,45 +93,28 @@ SPARSE_CLIENT_SIZES_SMOKE = (8, 16)
 #
 # Each battery is the full analysis menu one PR-2 fast path replaced,
 # run end to end (the fast side pays for its own CSR build).  The legacy
-# and fast batteries return comparable {component: result} dicts.
+# side is the declared reference of each twin the battery names
+# (:func:`repro.pipeline.passes.twin_pairs`); the fast battery returns
+# the same keys, and each key compares under its twin's equality.
 
-
-def _structure_legacy(graph) -> dict[str, Any]:
-    dfs = depth_first_search([graph.start], graph.succs)
-    dom = dominator_tree(graph.start, graph.succs, graph.preds)
-    pdom = dominator_tree(graph.end, graph.preds, graph.succs)
-    return {
-        "dfs": dfs,
-        "dom": dom,
-        "pdom": pdom,
-        "edom": edge_dominators_reference(graph),
-        "epdom": edge_postdominators_reference(graph),
-        "cycle-equiv": cycle_equivalence_reference(graph),
-    }
+STRUCTURE_TWINS = (
+    "dfs", "node-dom", "node-pdom", "dom", "pdom", "cycle-equiv",
+)
+DATAFLOW_TWINS = (
+    "liveness", "reaching", "available", "pavailable",
+    "anticipatable", "panticipatable",
+)
 
 
 def _structure_fast(graph) -> dict[str, Any]:
-    from repro.graphs.dominance import cfg_dominators, cfg_postdominators
-
     csr = build_csr(graph)
     return {
         "dfs": depth_first_search_csr(csr),
-        "dom": cfg_dominators(graph, csr=csr),
-        "pdom": cfg_postdominators(graph, csr=csr),
-        "edom": edge_dominators(graph, csr=csr),
-        "epdom": edge_postdominators(graph, csr=csr),
+        "node-dom": cfg_dominators(graph, csr=csr),
+        "node-pdom": cfg_postdominators(graph, csr=csr),
+        "dom": edge_dominators(graph, csr=csr),
+        "pdom": edge_postdominators(graph, csr=csr),
         "cycle-equiv": cycle_equivalence(graph, csr=csr),
-    }
-
-
-def _dataflow_legacy(graph) -> dict[str, Any]:
-    return {
-        "liveness": live_variables_reference(graph),
-        "reaching": reaching_definitions_reference(graph),
-        "available": available_expressions_reference(graph),
-        "pavailable": partially_available_expressions_reference(graph),
-        "anticipatable": anticipatable_expressions_reference(graph),
-        "panticipatable": partially_anticipatable_expressions_reference(graph),
     }
 
 
@@ -165,23 +135,6 @@ def _dataflow_fast(graph) -> dict[str, Any]:
     }
 
 
-def _tree_eq(a, b) -> bool:
-    return a.root == b.root and a.idom == b.idom
-
-
-def _results_identical(legacy: dict, fast: dict) -> bool:
-    if legacy.keys() != fast.keys():
-        return False
-    for key, lhs in legacy.items():
-        rhs = fast[key]
-        if key in ("dom", "pdom", "edom", "epdom"):
-            if not _tree_eq(lhs, rhs):
-                return False
-        elif lhs != rhs:
-            return False
-    return True
-
-
 def _best_ms(fn: Callable[[], Any], repeat: int) -> tuple[float, Any]:
     best = float("inf")
     result = None
@@ -196,13 +149,20 @@ def _bench_workload(
     name: str,
     family: str,
     rows_spec: list[tuple[str, Any]],
-    legacy: Callable,
+    twins: tuple[str, ...],
     fast: Callable,
     repeat: int,
 ) -> dict[str, Any]:
     rows = []
     for label, graph in rows_spec:
-        legacy_ms, legacy_result = _best_ms(lambda: legacy(graph), repeat)
+        sides = {
+            twin: (reference, equal)
+            for twin, _, reference, equal in twin_pairs(graph)
+            if twin in twins
+        }
+        legacy_ms, legacy_result = _best_ms(
+            lambda: {twin: sides[twin][0]() for twin in twins}, repeat
+        )
         fast_ms, fast_result = _best_ms(lambda: fast(graph), repeat)
         rows.append({
             "size": label,
@@ -211,7 +171,10 @@ def _bench_workload(
             "legacy_ms": round(legacy_ms, 3),
             "fast_ms": round(fast_ms, 3),
             "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else 0.0,
-            "identical": _results_identical(legacy_result, fast_result),
+            "identical": all(
+                sides[twin][1](legacy_result[twin], fast_result[twin])
+                for twin in twins
+            ),
         })
     return {
         "name": name,
@@ -298,13 +261,12 @@ def bench_sparse_clients(smoke: bool = False, repeat: int = 3) -> dict[str, Any]
     asymptotic claim -- the sparse propagation graph touches live names
     only -- is checked in alongside the wall-clock ratio.
     """
-    from repro.sparse.range_analysis import (
-        range_analysis,
-        range_analysis_reference,
-    )
-    from repro.sparse.taint import taint_analysis, taint_analysis_reference
+    from repro.sparse.range_analysis import range_analysis
+    from repro.sparse.taint import taint_analysis
     from repro.util.counters import WorkCounter
 
+    registry = default_registry()
+    twins = [registry.spec(name) for name in ("sparse-range", "sparse-taint")]
     sizes = SPARSE_CLIENT_SIZES_SMOKE if smoke else SPARSE_CLIENT_SIZES
     rows = []
     for regions in sizes:
@@ -313,16 +275,13 @@ def bench_sparse_clients(smoke: bool = False, repeat: int = 3) -> dict[str, Any]
 
         def legacy() -> tuple:
             counter = counters["legacy"] = WorkCounter()
-            return (
-                range_analysis_reference(graph, counter=counter).facts(),
-                taint_analysis_reference(graph, counter=counter).facts(),
-            )
+            return tuple(twin.oracle(graph, {}, counter) for twin in twins)
 
         def fast() -> tuple:
             counter = counters["fast"] = WorkCounter()
             return (
-                range_analysis(graph, counter=counter).facts(),
-                taint_analysis(graph, counter=counter).facts(),
+                range_analysis(graph, counter=counter),
+                taint_analysis(graph, counter=counter),
             )
 
         legacy_ms, legacy_result = _best_ms(legacy, repeat)
@@ -342,7 +301,12 @@ def bench_sparse_clients(smoke: bool = False, repeat: int = 3) -> dict[str, Any]
             "sparse_visits": sparse_visits,
             "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else 0.0,
             "identical": (
-                legacy_result == fast_result
+                all(
+                    twin.equal(ref, got)
+                    for twin, ref, got in zip(
+                        twins, legacy_result, fast_result
+                    )
+                )
                 and sparse_visits < dense_visits
             ),
         })
@@ -385,11 +349,11 @@ def run_bench(
     workloads = [
         _bench_workload(
             "c1-structure", "diamond_chain", c1_rows,
-            _structure_legacy, _structure_fast, repeat,
+            STRUCTURE_TWINS, _structure_fast, repeat,
         ),
         _bench_workload(
             "f4-dataflow", "wide_variable_program", f4_rows,
-            _dataflow_legacy, _dataflow_fast, repeat,
+            DATAFLOW_TWINS, _dataflow_fast, repeat,
         ),
     ]
     from repro.regions.replay import bench_edit_replay, bench_root_balance
@@ -519,9 +483,10 @@ def default_suite(programs: int = 8, size: int = 80) -> list[dict]:
 
 
 def equivalence_suite(smoke: bool = False) -> list[dict]:
-    """The 204-program population of ``tests/test_perf_equivalence.py``
-    as batch specs: structured random, irreducible, goto soup, plus one
-    of each ladder family.
+    """The 204-program equivalence population (the corpus the declared
+    twins are held to in the test suite) as batch specs:
+    structured random, irreducible, goto soup, plus one of each ladder
+    family.
 
     ``smoke`` keeps the same family mix but trims the seed sweeps to 24
     programs -- still more than the registered pass count, so a chaos
@@ -645,9 +610,9 @@ def _analyze_one(spec: dict) -> dict:
 
     Specs with ``"sparse": True`` run the sparse-engine client passes
     only (def-use, ranges, taint, SCVN, NTSCD) and cross-check each
-    result against its dense reference twin inside the worker, reporting
-    the agreement flags on the row.  Specs with ``"lint": True`` run the
-    diagnostics engine (rule passes
+    result against its declared dense oracle inside the worker, reporting
+    the agreement flags on the row keyed by pass name.  Specs with
+    ``"lint": True`` run the diagnostics engine (rule passes
     plus oracle verification) instead of the plain analysis menu; the
     program is round-tripped through the pretty-printer so diagnostics
     carry genuine source spans.  Specs may carry raw ``"source"`` text
@@ -656,13 +621,10 @@ def _analyze_one(spec: dict) -> dict:
     document to the row.  Specs with a ``"fuzz"`` entry dispatch
     to one mutation trial of :mod:`repro.fuzz.harness` (mutate, run
     oracles, report verdicts) -- that is how ``repro fuzz --jobs`` fans
-    trials across the supervised pool.  Specs with ``"regions": True``
-    summarize one subtree bucket of the program structure tree for one
-    analysis (:func:`repro.regions.parallel.summarize_subtree`) -- the
-    region-parallel phase-1 fan-out rides the same pool.  Specs with
-    ``"arena": True`` carry a serialized :class:`~repro.arena.arena.
-    ArenaCorpus` for a whole chunk of programs and dispatch to the fused
-    arena sweep (:func:`_analyze_arena_chunk`).
+    trials across the supervised pool.  Specs with ``"arena": True``
+    carry a serialized :class:`~repro.arena.arena.ArenaCorpus` for a
+    whole chunk of programs and dispatch to the fused arena sweep
+    (:func:`_analyze_arena_chunk`).
     """
     from repro.pipeline.manager import AnalysisManager
     from repro.robust.errors import error_record
@@ -675,10 +637,6 @@ def _analyze_one(spec: dict) -> dict:
             from repro.fuzz.harness import run_trial
 
             return run_trial(spec)
-        if spec.get("regions"):
-            from repro.regions.parallel import summarize_subtree
-
-            return summarize_subtree(spec)
         if "source" in spec:
             # A raw-source spec (the serve daemon's batch-sarif path):
             # the text is the document, so spans stay genuine without a
@@ -689,11 +647,6 @@ def _analyze_one(spec: dict) -> dict:
         else:
             program = resolve_family(spec["family"])(*spec["args"])
         if spec.get("sparse"):
-            from repro.controldep.ntscd import ntscd_reference
-            from repro.defuse.chains import build_def_use_chains_reference
-            from repro.sparse.range_analysis import range_analysis_reference
-            from repro.sparse.taint import taint_analysis_reference
-
             graph = build_cfg(program)
             manager = AnalysisManager(graph, metrics=Metrics())
             t0 = time.perf_counter()
@@ -703,20 +656,12 @@ def _analyze_one(spec: dict) -> dict:
             scvn = manager.get("scvn")
             deps = manager.get("ntscd")
             wall_ms = (time.perf_counter() - t0) * 1000.0
-
-            def chain_set(result):
-                return {(c.var, c.def_node, c.use_node)
-                        for c in result.chains}
-
-            agree = {
-                "chains": chain_set(chains)
-                == chain_set(build_def_use_chains_reference(graph)),
-                "range": ranges.facts()
-                == range_analysis_reference(graph).facts(),
-                "taint": taint.facts()
-                == taint_analysis_reference(graph).facts(),
-                "ntscd": deps.facts() == ntscd_reference(graph).facts(),
-            }
+            agree = {}
+            for name in ("defuse", "sparse-range", "sparse-taint", "ntscd"):
+                twin = manager.registry.spec(name)
+                agree[name] = twin.equal(
+                    manager.get(name), twin.oracle(graph, {}, None)
+                )
             return {
                 "label": spec["label"],
                 "nodes": graph.num_nodes,
@@ -868,7 +813,7 @@ def build_arena_payloads(suite: list[dict], chunk_size: int) -> list[dict]:
     """Parent-side lowering for arena payload mode: plain analysis specs
     are chunked and each chunk lowered into one serialized
     :class:`~repro.arena.arena.ArenaCorpus` spec (pool tables ship once
-    per chunk).  Specs in a special mode (lint / fuzz / regions) and
+    per chunk).  Specs in a special mode (lint / fuzz) and
     specs whose program builder fails keep their object-graph path: they
     pass through unchanged, so poison specs still produce their usual
     per-spec error rows."""
@@ -880,7 +825,7 @@ def build_arena_payloads(suite: list[dict], chunk_size: int) -> list[dict]:
         # Misbehaving test families must keep their supervised worker:
         # lowering them here would hang or kill the parent process.
         if (
-            spec.get("lint") or spec.get("fuzz") or spec.get("regions")
+            spec.get("lint") or spec.get("fuzz")
             or str(spec.get("family", "")).startswith("__")
         ):
             passthrough.append(spec)

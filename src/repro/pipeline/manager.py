@@ -28,6 +28,7 @@ farmed out, because its inputs and outputs are explicit.
 
 from __future__ import annotations
 
+import operator
 import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
@@ -63,6 +64,8 @@ def register_result_codec(
 #: A pass body: receives the graph, its resolved dependencies (keyed by
 #: pass name), and the shared work counter; returns the analysis result.
 BuildFn = Callable[[CFG, Mapping[str, object], WorkCounter], object]
+#: Are two results of one pass the same answer?
+EqualFn = Callable[[object, object], bool]
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,14 @@ class PassSpec:
     (operands / predicates).  Passes of pure graph shape plus assignment
     targets -- dominance, cycle equivalence, SESE regions -- set it False
     and survive expression-only rewrites.
+
+    ``oracle`` is the pass's reference twin: a body with the same
+    signature that recomputes the answer from the graph alone (it reads
+    no dependency, so it cannot inherit a fast kernel's bug).  ``equal``
+    says whether two results are the same answer, for result types
+    without value equality.  The degradation policy, the chaos harness,
+    the fuzzer's ``twin`` oracle and the equivalence tests all read these
+    two fields; nothing else pairs a fast path with its reference.
     """
 
     name: str
@@ -80,6 +91,8 @@ class PassSpec:
     deps: tuple[str, ...] = ()
     uses_exprs: bool = True
     description: str = ""
+    oracle: BuildFn | None = None
+    equal: EqualFn = operator.eq
 
 
 class PassRegistry:
@@ -94,6 +107,8 @@ class PassRegistry:
         deps: tuple[str, ...] = (),
         uses_exprs: bool = True,
         description: str = "",
+        oracle: BuildFn | None = None,
+        equal: EqualFn = operator.eq,
     ) -> Callable[[BuildFn], BuildFn]:
         """Decorator registering ``fn`` as the body of pass ``name``.
 
@@ -110,7 +125,7 @@ class PassRegistry:
                         f"pass {name!r} depends on unregistered {dep!r}"
                     )
             self._specs[name] = PassSpec(
-                name, fn, tuple(deps), uses_exprs, description
+                name, fn, tuple(deps), uses_exprs, description, oracle, equal
             )
             return fn
 

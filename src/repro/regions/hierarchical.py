@@ -21,8 +21,8 @@ the whole graph it runs three phases over the region systems:
 Bitvector frameworks are distributive, so the summarized fixpoint
 applied to the actual boundary equals the flat solver's (unique)
 fixpoint: the differential suite asserts mask-level equality over the
-whole corpus, and the ``hierarchical-vs-flat`` fuzz oracle re-checks it
-on every fuzz trial.
+whole corpus, and the ``region-summaries`` pass declares the flat solve
+as its oracle, so the ``twin`` fuzz oracle re-checks it on every trial.
 """
 
 from __future__ import annotations
@@ -287,41 +287,23 @@ def hierarchical_summaries(
     regions: RegionSystems,
     problem: BitsetProblem,
     counter: WorkCounter | None = None,
-    only: set[int] | None = None,
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Phase 1 alone: ``{(entry, exit): (gen, kill)}`` region summaries.
 
-    ``only`` restricts the sweep to the named system indices *plus all
-    their descendants* (a subtree's summaries are self-contained, which
-    is what lets sibling subtrees be summarized in parallel workers).
     Synthetic chain systems are skipped: they are re-associations of
     the root solve, not regions, and a real region's summary never
     depends on one -- so the result is the same key set whether the
-    assembly was balanced or not, and parallel workers summarizing real
-    subtrees merge to exactly this map.
+    assembly was balanced or not.
     """
     forward = problem.direction == "forward"
     root_dense = csr.start if forward else csr.end
     boundary_node = csr.node_ids[root_dense]
     node_gen, node_kill = node_masks(csr, problem)
     systems = regions.systems
-
-    wanted: set[int] | None = None
-    if only is not None:
-        wanted = set()
-        stack = list(only)
-        while stack:
-            index = stack.pop()
-            if index not in wanted:
-                wanted.add(index)
-                stack.extend(systems[index].children)
-
     summaries: dict[int, tuple[int, int]] = {}
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for system in reversed(systems):
         if system.region is None or system.region is CHAIN:
-            continue
-        if wanted is not None and system.index not in wanted:
             continue
         solved = solve_system_functions(
             system, systems, problem, node_gen, node_kill,
@@ -340,8 +322,8 @@ def core_problems(
     """The four core analyses compiled as :class:`BitsetProblem`\\ s over
     one shared CSR snapshot, ``{name: problem}`` -- the common input for
     running :func:`repro.perf.bitset.solve_bitset` and
-    :func:`solve_hierarchical` side by side (differential tests, the
-    ``hierarchical-vs-flat`` fuzz oracle, parallel summary workers)."""
+    :func:`solve_hierarchical` side by side (the ``region-summaries``
+    pass and its flat-bitset oracle, differential tests)."""
     from repro.dataflow.bitsets import (
         expression_problem,
         expression_space,

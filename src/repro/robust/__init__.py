@@ -11,8 +11,8 @@ Everything the surrounding system needs to fail *well*:
 * :mod:`repro.robust.watchdog` -- deadlines, bounded retry with backoff,
   and the injectable clocks that keep all of it testable;
 * :mod:`repro.robust.fallback` -- the degradation policy: when a fast
-  kernel fails (or fails a cross-check), fall back to its
-  ``*_reference`` oracle and keep going;
+  kernel fails (or fails a cross-check), fall back to the oracle its
+  pass declares and keep going;
 * :mod:`repro.robust.minimize` -- the delta-debugging minimizer that
   shrinks a failing program into a checked-in repro artifact;
 * :mod:`repro.robust.pool` -- the hardened process supervisor behind
@@ -30,7 +30,7 @@ from repro.robust.errors import (
     error_record,
     graph_fingerprint,
 )
-from repro.robust.fallback import DegradationPolicy, default_oracles
+from repro.robust.fallback import DegradationPolicy
 from repro.robust.incidents import INCIDENT_SCHEMA, Incident, IncidentLog
 from repro.robust.validate import cfg_violations, check_cfg
 from repro.robust.watchdog import (
@@ -55,7 +55,6 @@ __all__ = [
     "StaleSnapshotError",
     "cfg_violations",
     "check_cfg",
-    "default_oracles",
     "error_record",
     "graph_fingerprint",
     "retry_with_backoff",

@@ -43,11 +43,7 @@ from repro.robust.errors import (
     error_record,
     graph_fingerprint,
 )
-from repro.robust.fallback import (
-    DegradationPolicy,
-    default_oracles,
-    results_equal,
-)
+from repro.robust.fallback import DegradationPolicy
 from repro.robust.incidents import IncidentLog
 from repro.robust.minimize import minimize_program
 from repro.robust.watchdog import Deadline, FakeClock
@@ -287,8 +283,11 @@ def run_chaos(
 
     if suite is None:
         suite = equivalence_suite(smoke=smoke)
-    pass_names = default_registry().names()
-    oracle_names = frozenset(default_oracles())
+    registry = default_registry()
+    pass_names = registry.names()
+    oracle_names = frozenset(
+        spec.name for spec in registry if spec.oracle is not None
+    )
 
     # A suite shorter than the registry cannot cover every pass by
     # rotation alone: hand the leftover passes out as secondary targets
@@ -350,8 +349,8 @@ def run_chaos(
             )
         else:
             identical = all(
-                results_equal(name, results[name], clean[name])
-                for name in pass_names
+                spec.equal(results[spec.name], clean[spec.name])
+                for spec in registry
             )
             row.update(
                 outcome="recovered" if injector.triggered else "clean",

@@ -10,9 +10,9 @@ The lattice is the finite ladder-interval lattice of
 :mod:`repro.sparse.interval` -- deterministic least fixpoints, no
 widening -- so the sparse result is *equal* to the dense per-edge
 reference (:func:`range_analysis_reference`) at every use site, switch
-predicate, and infeasible-edge verdict, which
-``tests/test_sparse_framework.py`` and the ``sparse-vs-dense`` fuzz
-oracle pin across the corpus.
+predicate, and infeasible-edge verdict, which the declared
+``sparse-range`` twin (``tests/test_sparse_framework.py`` and the
+``twin`` fuzz oracle) pins across the corpus.
 
 Products: per-use intervals, per-switch predicate intervals, and the
 set of *range-dead* edges (branch arms provably never taken) that lint

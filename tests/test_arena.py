@@ -33,6 +33,7 @@ from repro.arena import (
     lower_cfg,
 )
 from repro.arena.arena import KIND_INDEX
+from repro.arena.pool import K_BIN, K_INT, K_UN
 from repro.cfg.graph import NodeKind
 from repro.perf.batch import _corpus_graphs, _corpus_legacy, equivalence_suite
 from repro.perf.csr import build_csr
@@ -197,25 +198,64 @@ def test_single_program_matches_corpus_row():
 
 
 def _corrupted_blob(damage) -> bytes:
-    """A well-framed one-program RPA1 payload whose snapshot tables were
-    damaged by ``damage(csr)`` before encoding."""
+    """A well-framed one-program RPA1 payload whose tables were damaged
+    by ``damage(pool, arena)`` before encoding."""
     graphs, _ = smoke_corpus()
     pool = ExpressionPool()
     arena = lower_cfg(graphs[0][1], pool)
-    damage(arena.csr)
+    damage(pool, arena)
     return ArenaCorpus(pool, [arena]).to_bytes()
 
 
-def _point_succ_past_the_nodes(csr) -> None:
-    csr.succ_node[0] = 99
+def _first_row(pool, *kinds) -> int:
+    return next(e for e, kind in enumerate(pool.kind) if kind in kinds)
 
 
-def _point_start_past_the_nodes(csr) -> None:
-    csr.start = 50
+def _point_succ_past_the_nodes(pool, arena) -> None:
+    arena.csr.succ_node[0] = 99
+
+
+def _point_start_past_the_nodes(pool, arena) -> None:
+    arena.csr.start = 50
+
+
+def _unknown_node_kind(pool, arena) -> None:
+    arena.node_kind[0] = 99
+
+
+def _edge_label_past_the_names(pool, arena) -> None:
+    arena.edge_label[0] = 999
+
+
+def _node_expr_past_the_pool(pool, arena) -> None:
+    arena.node_expr[0] = 999
+
+
+def _node_target_past_the_names(pool, arena) -> None:
+    arena.node_target[0] = 999
+
+
+def _negative_pool_child(pool, arena) -> None:
+    pool.arg1[_first_row(pool, K_BIN, K_UN)] = -1
+
+
+def _forward_pool_child(pool, arena) -> None:
+    row = _first_row(pool, K_BIN, K_UN)
+    pool.arg1[row] = row
+
+
+def _literal_past_the_table(pool, arena) -> None:
+    pool.arg0[_first_row(pool, K_INT)] = 999
 
 
 @pytest.mark.parametrize(
-    "damage", [_point_succ_past_the_nodes, _point_start_past_the_nodes]
+    "damage",
+    [
+        _point_succ_past_the_nodes, _point_start_past_the_nodes,
+        _unknown_node_kind, _edge_label_past_the_names,
+        _node_expr_past_the_pool, _node_target_past_the_names,
+        _negative_pool_child, _forward_pool_child, _literal_past_the_table,
+    ],
 )
 def test_out_of_range_tables_are_rejected_at_decode(damage):
     blob = _corrupted_blob(damage)

@@ -7,19 +7,24 @@ back as a failing verdict, not an exception.
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 from repro.cfg.builder import build_cfg
 from repro.fuzz.harness import trial_context
 from repro.fuzz.oracles import (
     ORACLES,
     dfg_digest,
     oracle_constprop,
-    oracle_dataflow,
     oracle_determinism,
     oracle_io,
     oracle_structure,
+    oracle_twin,
     run_oracles,
 )
 from repro.lang.parser import parse_program
+from repro.pipeline.passes import twin_pairs
 
 CLEAN = """\
 a := p; total := 0; count := 3;
@@ -84,10 +89,75 @@ def test_constprop_oracle_cross_checks_engines():
     assert verdict.checks > 0
 
 
-def test_dataflow_oracle_reference_vs_csr():
+def test_twin_oracle_checks_every_declared_twin():
     graph_a, graph_b, context = _pair(CLEAN, CLEAN)
-    verdict = oracle_dataflow(graph_a, graph_b, context)
-    assert verdict.ok and verdict.checks >= 2  # both sides checked
+    verdict = oracle_twin(graph_a, graph_b, context)
+    assert verdict.ok
+    assert verdict.checks == len(twin_pairs(graph_b))
+
+
+# A different program: any kernel answering for it instead lies.
+OTHER = "q := 1; if (q > 0) { q := q + 2; } print q;\n"
+
+# Where each twin's fast side is looked up when the twin runs, as
+# ``(module, attribute)`` plus, for Cytron SSA, the one flavour to
+# corrupt.  A lie planted there reaches the fuzzer only through the
+# declared twin.
+DATAFLOW_KERNELS = {
+    "liveness": ("repro.pipeline.passes", "live_variables"),
+    "reaching": ("repro.pipeline.passes", "reaching_definitions"),
+    "available": ("repro.pipeline.passes", "available_expressions"),
+    "pavailable": ("repro.pipeline.passes", "partially_available_expressions"),
+    "anticipatable": (
+        "repro.dataflow.anticipatable", "anticipatable_expressions",
+    ),
+    "panticipatable": (
+        "repro.dataflow.anticipatable", "partially_anticipatable_expressions",
+    ),
+}
+SPARSE_CLIENTS = {
+    "defuse": ("repro.pipeline.passes", "build_def_use_chains"),
+    "ssa-cytron": ("repro.ssa.cytron", "build_ssa_cytron", False),
+    "ssa-cytron-pruned": ("repro.ssa.cytron", "build_ssa_cytron", True),
+    "sparse-range": ("repro.sparse.range_analysis", "range_analysis"),
+    "sparse-taint": ("repro.sparse.taint", "taint_analysis"),
+    "ntscd": ("repro.controldep.ntscd", "ntscd"),
+}
+
+
+def _plant_lie(monkeypatch, module, attr, pruned=None):
+    """Make ``module.attr`` answer for :data:`OTHER` instead of the graph
+    it is given (for SSA, only in the ``pruned`` flavour)."""
+    target = importlib.import_module(module)
+    honest = getattr(target, attr)
+    other = build_cfg(parse_program(OTHER))
+
+    def lying(graph, *args, **kwargs):
+        if pruned is None or kwargs.get("pruned", False) == pruned:
+            graph = other
+            kwargs.pop("csr", None)
+        return honest(graph, *args, **kwargs)
+
+    monkeypatch.setattr(target, attr, lying)
+
+
+def _assert_twin_oracle_names_each_liar(kernels):
+    for name, site in kernels.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _plant_lie(monkeypatch, *site)
+            verdict = oracle_twin(*_pair(CLEAN, CLEAN))
+        assert not verdict.ok, name
+        assert verdict.detail.startswith(f"{name}:"), (name, verdict.detail)
+
+
+def test_dataflow_oracle_reference_vs_csr():
+    # The reference-vs-CSR dataflow checks are the ``twin`` oracle's: it
+    # names whichever bitset kernel lies, and no other oracle fails.
+    _assert_twin_oracle_names_each_liar(DATAFLOW_KERNELS)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _plant_lie(monkeypatch, *DATAFLOW_KERNELS["liveness"])
+        verdicts = run_oracles(*_pair(CLEAN, CLEAN))
+    assert [v.oracle for v in verdicts if not v.ok] == ["twin"]
 
 
 def test_structure_oracle_flags_shape_change_under_same_shape_expectation():
@@ -100,13 +170,9 @@ def test_structure_oracle_flags_shape_change_under_same_shape_expectation():
 
 
 def test_sparse_vs_dense_oracle_checks_every_client():
-    from repro.fuzz.oracles import oracle_sparse_vs_dense
-
-    graph_a, graph_b, context = _pair(CLEAN, CLEAN)
-    verdict = oracle_sparse_vs_dense(graph_a, graph_b, context)
-    assert verdict.ok
-    # chains, ssa, pruned ssa, range, taint, ntscd -- one check each.
-    assert verdict.checks == 6
+    # Chains, SSA, pruned SSA, range, taint, NTSCD: the ``twin`` oracle
+    # holds each sparse client to its dense reference.
+    _assert_twin_oracle_names_each_liar(SPARSE_CLIENTS)
 
 
 def test_determinism_oracle_and_digest_stability():

@@ -192,13 +192,22 @@ def test_generators_and_mutators_identical_across_hash_seeds() -> None:
 
 _REGION_SCRIPT = """\
 import json
-from repro.regions.parallel import parallel_summaries
+from repro.cfg.builder import build_cfg
+from repro.perf.batch import resolve_family
+from repro.perf.csr import build_csr
+from repro.regions.hierarchical import (
+    build_region_systems, core_problems, hierarchical_summaries,
+)
 from repro.regions.replay import build_replay_graph, edit_script, replay_row
 from repro.regions.edits import EditSession
 
 for family, args in (("diamond", [24]), ("loopnest", [4]), ("jump", [6])):
-    payload = parallel_summaries(family, tuple(args), workers=0)
-    print(json.dumps(payload, sort_keys=True))
+    graph = build_cfg(resolve_family(family)(*args))
+    csr = build_csr(graph)
+    regions = build_region_systems(graph)
+    for name, problem in sorted(core_problems(graph, csr).items()):
+        summaries = hierarchical_summaries(csr, regions, problem)
+        print(family, name, regions.dissolved, sorted(summaries.items()))
 
 row = replay_row(24, repeat=1)
 for key in ("legacy_ms", "fast_ms", "speedup"):

@@ -1,156 +1,41 @@
 """Property tests: the CSR kernels and the bitset dataflow solver must
-be *byte-identical* to the legacy dict-based implementations.
+be *byte-identical* to their reference twins.
 
 The perf layer (:mod:`repro.perf`) is pure plumbing -- same algorithms,
 flat-array data layout -- so every divergence is a bug, not a precision
-trade-off.  This suite sweeps a seeded population of 200+ generated
-programs (structured random, irreducible, goto soup, plus the ladder
-families) and asserts exact equality of:
+trade-off.  Over the seeded 204-program equivalence corpus, each test
+holds one group of declared twins (see ``twin_corpus.py``) to its
+references under the declared comparators:
 
-* dominator / postdominator trees (node graph and split graph),
-* cycle-equivalence class assignments,
-* canonical SESE regions and the node -> region map,
-* all seven dataflow results (liveness, reaching definitions, and the
-  four expression analyses) against the generic-solver ``*_reference``
-  oracles.
+* DFS numbering, dominator / postdominator trees (node graph and split
+  graph) and cycle-equivalence class assignments;
+* canonical SESE regions and the node -> region map;
+* the bitset dataflow results (liveness, reaching definitions, the four
+  expression analyses), the hierarchical region-summary solve and the
+  fused arena sweep.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cfg.builder import build_cfg
-from repro.controldep.cycle_equiv import (
-    cycle_equivalence,
-    cycle_equivalence_reference,
-)
-from repro.controldep.sese import ProgramStructure
-from repro.dataflow import (
-    anticipatable_expressions,
-    anticipatable_expressions_reference,
-    available_expressions,
-    available_expressions_reference,
-    live_variables,
-    live_variables_reference,
-    partially_anticipatable_expressions,
-    partially_anticipatable_expressions_reference,
-    partially_available_expressions,
-    partially_available_expressions_reference,
-    reaching_definitions,
-    reaching_definitions_reference,
-)
-from repro.graphs.dominance import (
-    cfg_dominators,
-    cfg_postdominators,
-    dominator_tree,
-    edge_dominators,
-    edge_dominators_reference,
-    edge_postdominators,
-    edge_postdominators_reference,
-)
-from repro.perf.csr import build_csr
-from repro.workloads.generators import (
-    irreducible_program,
-    random_jump_program,
-    random_program,
-)
-from repro.workloads.ladders import (
-    diamond_chain,
-    loop_nest,
-    sparse_use_program,
-    wide_variable_program,
-)
-
-# -- the seeded population (>= 200 programs) -------------------------------
-
-CASES: list[tuple[str, object]] = []
-for _seed in range(120):
-    CASES.append((f"random-{_seed}", lambda s=_seed: random_program(s, size=18)))
-for _seed in range(40):
-    CASES.append(
-        (f"irreducible-{_seed}", lambda s=_seed: irreducible_program(s, blocks=5))
-    )
-for _seed in range(40):
-    CASES.append(
-        (f"jump-{_seed}", lambda s=_seed: random_jump_program(s, blocks=7))
-    )
-CASES += [
-    ("diamond-60", lambda: diamond_chain(60)),
-    ("loopnest-3x3", lambda: loop_nest(3, 3)),
-    ("wide-24", lambda: wide_variable_program(24, 2)),
-    ("sparse-8", lambda: sparse_use_program(8)),
-]
-assert len(CASES) >= 200
-
-# Chunked so a failure names a narrow seed range without paying pytest
-# collection overhead for 200+ parametrized ids per property.
-CHUNK = 26
-CHUNKS = [CASES[i:i + CHUNK] for i in range(0, len(CASES), CHUNK)]
-CHUNK_IDS = [f"{chunk[0][0]}..{chunk[-1][0]}" for chunk in CHUNKS]
-
-
-def _graphs(chunk):
-    for name, make in chunk:
-        yield name, build_cfg(make())
+from twin_corpus import CHUNK_IDS, CHUNKS, assert_twins_agree, chunk_graphs
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
 def test_structure_kernels_match_legacy(chunk) -> None:
-    for name, graph in _graphs(chunk):
-        csr = build_csr(graph)
-
-        dom = cfg_dominators(graph, csr)
-        ref = dominator_tree(graph.start, graph.succs, graph.preds)
-        assert (dom.root, dom.idom) == (ref.root, ref.idom), name
-
-        pdom = cfg_postdominators(graph, csr)
-        ref = dominator_tree(graph.end, graph.preds, graph.succs)
-        assert (pdom.root, pdom.idom) == (ref.root, ref.idom), name
-
-        edom = edge_dominators(graph, csr)
-        ref = edge_dominators_reference(graph)
-        assert (edom.root, edom.idom) == (ref.root, ref.idom), name
-
-        epdom = edge_postdominators(graph, csr)
-        ref = edge_postdominators_reference(graph)
-        assert (epdom.root, epdom.idom) == (ref.root, ref.idom), name
-
-        assert cycle_equivalence(graph, csr=csr) == (
-            cycle_equivalence_reference(graph)
-        ), name
+    for label, graph in chunk_graphs(chunk):
+        assert_twins_agree(label, graph, "structure")
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
 def test_sese_regions_match_legacy(chunk) -> None:
-    for name, graph in _graphs(chunk):
-        fast = ProgramStructure(graph)
-        slow = ProgramStructure(
-            graph,
-            dom=edge_dominators_reference(graph),
-            pdom=edge_postdominators_reference(graph),
-            edge_class=cycle_equivalence_reference(graph),
-        )
-        fast_regions = sorted((r.entry, r.exit) for r in fast.regions)
-        slow_regions = sorted((r.entry, r.exit) for r in slow.regions)
-        assert fast_regions == slow_regions, name
-        for nid in graph.nodes:
-            a, b = fast.region_of_node[nid], slow.region_of_node[nid]
-            assert (a and (a.entry, a.exit)) == (b and (b.entry, b.exit)), name
+    for label, graph in chunk_graphs(chunk):
+        structure = assert_twins_agree(label, graph, "sese")["sese"]
+        assert set(structure.region_of_node) == set(graph.nodes), label
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
 def test_dataflow_bitsets_match_generic_solver(chunk) -> None:
-    pairs = [
-        (live_variables, live_variables_reference),
-        (reaching_definitions, reaching_definitions_reference),
-        (available_expressions, available_expressions_reference),
-        (partially_available_expressions,
-         partially_available_expressions_reference),
-        (anticipatable_expressions, anticipatable_expressions_reference),
-        (partially_anticipatable_expressions,
-         partially_anticipatable_expressions_reference),
-    ]
-    for name, graph in _graphs(chunk):
-        csr = build_csr(graph)
-        for fast, slow in pairs:
-            assert fast(graph, csr=csr) == slow(graph), (name, fast.__name__)
+    for label, graph in chunk_graphs(chunk):
+        assert_twins_agree(label, graph, "dataflow")

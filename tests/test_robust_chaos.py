@@ -16,7 +16,12 @@ from repro.robust.chaos import (
     make_plan,
     run_chaos,
 )
-from repro.robust.fallback import default_oracles
+
+
+def _oracle_names() -> frozenset[str]:
+    return frozenset(
+        spec.name for spec in default_registry() if spec.oracle is not None
+    )
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +40,7 @@ def test_derive_seed_stable_and_distinct() -> None:
 
 def test_plan_guarantees_rotating_target() -> None:
     names = default_registry().names()
-    oracles = frozenset(default_oracles())
+    oracles = _oracle_names()
     for index in range(len(names)):
         plan = make_plan(0, index, f"p{index}", names, oracles)
         assert names[index % len(names)] in plan
@@ -43,7 +48,7 @@ def test_plan_guarantees_rotating_target() -> None:
 
 def test_plan_keeps_unrecoverable_faults_on_the_target_only() -> None:
     names = default_registry().names()
-    oracles = frozenset(default_oracles())
+    oracles = _oracle_names()
     for index in range(len(names) * 2):
         target = names[index % len(names)]
         plan = make_plan(7, index, f"p{index}", names, oracles)

@@ -15,7 +15,6 @@ from repro.robust import (
     FakeClock,
     IncidentLog,
     InputError,
-    default_oracles,
 )
 from repro.robust.fallback import results_equal
 from repro.util.metrics import Metrics
@@ -39,7 +38,8 @@ def _registry(**overrides) -> PassRegistry:
         build = overrides.get(spec.name, spec.build)
         registry.register(
             spec.name, deps=spec.deps, uses_exprs=spec.uses_exprs,
-            description=spec.description,
+            description=spec.description, oracle=spec.oracle,
+            equal=spec.equal,
         )(build)
     return registry
 
@@ -178,22 +178,28 @@ def test_timeout_recovers_and_deadline_resets() -> None:
 
 
 def test_default_oracles_cover_reference_twins() -> None:
-    names = set(default_oracles())
+    # The policy's oracles are the passes that declare one; the chaos
+    # harness plans its recoverable faults over exactly this set.
+    names = {
+        spec.name for spec in default_registry() if spec.oracle is not None
+    }
     assert names == {
         "dfs", "dom", "pdom", "cycle-equiv", "sese",
         "liveness", "reaching", "available", "pavailable",
         "region-summaries", "arena-dataflow",
         "defuse", "sparse-range", "sparse-taint", "ntscd",
     }
-    registered = set(default_registry().names())
-    assert names <= registered
 
 
 def test_oracles_match_fast_passes() -> None:
+    # Each oracle is called as the policy calls it: with the pass's
+    # resolved dependencies and the manager's work counter.
     graph = _graph()
     manager = AnalysisManager(graph, metrics=Metrics())
-    deps = {"csr": manager.get("csr")}
-    for name, oracle in default_oracles().items():
-        fast = manager.get(name)
-        reference = oracle(graph, deps, manager.metrics.counter)
-        assert results_equal(name, fast, reference), name
+    for spec in default_registry():
+        if spec.oracle is None:
+            continue
+        fast = manager.get(spec.name)
+        deps = {dep: manager.get(dep) for dep in spec.deps}
+        reference = spec.oracle(graph, deps, manager.metrics.counter)
+        assert results_equal(spec.name, fast, reference), spec.name

@@ -4,10 +4,11 @@ Three layers of guarantee:
 
 * **corpus equivalence** -- over the full 204-program equivalence
   population, every client of the live-range-splitting engine (SSA
-  construction, def-use chains, interval ranges, taint, NTSCD) produces
-  results identical to its dense reference twin; for SSA the *work
-  counters* must match tick for tick, because the sparse engine claims
-  to be a drop-in refactor of the historical Cytron construction;
+  construction, def-use chains, interval ranges, taint, NTSCD) agrees
+  with its declared dense reference twin (see ``twin_corpus.py``); for
+  SSA the *work counters* must match tick for tick, because the sparse
+  engine claims to be a drop-in refactor of the historical Cytron
+  construction, and the def-use projection comes out canonically sorted;
 * **cross-construction agreement** -- the engine's pruned SSA places
   phis exactly where the independent DFG-derived construction does;
 * **lattice properties** -- hypothesis-checked soundness and
@@ -21,79 +22,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg.builder import build_cfg
-from repro.controldep.ntscd import ntscd, ntscd_reference
-from repro.defuse.chains import (
-    build_def_use_chains,
-    build_def_use_chains_reference,
-)
 from repro.lang.interp import apply_binop
-from repro.perf.batch import equivalence_suite, resolve_family
+from repro.perf.batch import resolve_family
+from repro.pipeline.passes import KERNEL_TWINS, default_registry
 from repro.sparse import interval as iv
-from repro.sparse.range_analysis import (
-    range_analysis,
-    range_analysis_reference,
-)
-from repro.sparse.taint import taint_analysis, taint_analysis_reference
-from repro.ssa.cytron import build_ssa_cytron, build_ssa_cytron_reference
+from repro.sparse.range_analysis import range_analysis
+from repro.sparse.taint import taint_analysis
+from repro.ssa.cytron import build_ssa_cytron
 from repro.ssa.from_dfg import build_ssa_from_dfg
 from repro.util.counters import WorkCounter
 
-
-def corpus_graphs():
-    for spec in equivalence_suite(smoke=False):
-        program = resolve_family(spec["family"])(*spec["args"])
-        yield spec["label"], build_cfg(program)
-
-
-def ssa_snapshot(ssa):
-    return (
-        sorted(ssa.def_names.items()),
-        sorted(ssa.use_names.items()),
-        sorted(ssa.entry_names.items()),
-        sorted(
-            (nid, var, phi.result, tuple(sorted(phi.args.items())))
-            for nid, by_var in ssa.phis.items()
-            for var, phi in by_var.items()
-        ),
-    )
-
-
-def chain_set(chains):
-    return {(c.var, c.def_node, c.use_node) for c in chains.chains}
+from twin_corpus import TWIN_GROUPS, assert_twins_agree, corpus_graphs
 
 
 def test_ssa_construction_is_tick_identical_across_corpus():
+    twins = {name: rest for name, *rest in KERNEL_TWINS}
     for label, graph in corpus_graphs():
-        for pruned in (False, True):
+        for name in TWIN_GROUPS["ssa"]:
+            fast_side, reference_side, equal = twins[name]
             fast_counter, ref_counter = WorkCounter(), WorkCounter()
-            fast = build_ssa_cytron(graph, pruned=pruned, counter=fast_counter)
-            ref = build_ssa_cytron_reference(
-                graph, pruned=pruned, counter=ref_counter
-            )
-            assert ssa_snapshot(fast) == ssa_snapshot(ref), (label, pruned)
+            fast = fast_side(graph, {}, fast_counter)
+            ref = reference_side(graph, {}, ref_counter)
+            assert equal(fast, ref), (label, name)
             assert fast_counter.snapshot() == ref_counter.snapshot(), (
-                label, pruned,
+                label, name,
             )
             fast.validate()
 
 
 def test_defuse_chains_equal_reference_across_corpus():
     for label, graph in corpus_graphs():
-        fast = build_def_use_chains(graph)
-        ref = build_def_use_chains_reference(graph)
-        assert chain_set(fast) == chain_set(ref), label
+        chains = assert_twins_agree(label, graph, "defuse")["defuse"]
         # The sparse projection comes out canonically sorted.
-        keys = [(c.use_node, c.var, c.def_node) for c in fast.chains]
+        keys = [(c.use_node, c.var, c.def_node) for c in chains.chains]
         assert keys == sorted(keys), label
 
 
 def test_range_taint_ntscd_equal_reference_across_corpus():
     for label, graph in corpus_graphs():
-        assert range_analysis(graph).facts() == \
-            range_analysis_reference(graph).facts(), label
-        assert taint_analysis(graph).facts() == \
-            taint_analysis_reference(graph).facts(), label
-        assert ntscd(graph).facts() == ntscd_reference(graph).facts(), label
+        assert_twins_agree(label, graph, "range-taint-ntscd")
 
 
 def test_engine_pruned_ssa_places_phis_like_dfg_construction():
@@ -189,8 +156,8 @@ def test_taint_is_monotone_in_its_source_set(seed, data):
 @settings(max_examples=30, deadline=None)
 def test_range_use_values_are_below_top_and_agree_with_reference(seed):
     graph = build_cfg(resolve_family("random")(seed, 18, 4))
+    twin = default_registry().spec("sparse-range")
     sparse = range_analysis(graph)
-    dense = range_analysis_reference(graph)
-    assert sparse.facts() == dense.facts()
+    assert twin.equal(sparse, twin.oracle(graph, {}, None))
     for value in sparse.use_values.values():
         assert leq(value, iv.TOP)
