@@ -22,110 +22,117 @@ Quickstart::
 
 See ``examples/`` for runnable walkthroughs and ``DESIGN.md`` for the
 paper-to-module map.
+
+Every package re-exports its public names lazily (PEP 562): importing
+``repro`` or a subpackage loads no other module, and a name's defining
+module is imported on first access.
 """
 
-from repro.cfg.builder import build_cfg
-from repro.cfg.dot import cfg_to_dot
-from repro.cfg.graph import CFG, Edge, Node, NodeKind
-from repro.cfg.interp import run_cfg
-from repro.cfg.normalize import normalize, split_critical_edges
-from repro.controldep.cdg import (
-    control_dependence_edges,
-    control_dependence_nodes,
-)
-from repro.controldep.cycle_equiv import cycle_equivalence
-from repro.controldep.factored import FactoredCDG, build_factored_cdg
-from repro.controldep.sese import ProgramStructure, Region, build_program_structure
-from repro.core.anticipate import AnticipatabilityResult, dfg_anticipatability
-from repro.core.build import build_dfg
-from repro.core.constprop import DFGConstants, dfg_constant_propagation
-from repro.core.dce import dfg_dead_code_elimination
-from repro.core.loopdeps import (
-    LoopDependence,
-    analyze_loop_dependences,
-    parallelizable_loops,
-)
-from repro.core.dfg import CTRL_VAR, DFG, DepEdge, Head, HeadKind, Port, PortKind
-from repro.core.epr import EPRResult, eliminate_partial_redundancies, epr_all
-from repro.core.verify import verify_dfg
-from repro.defuse.chains import DefUseChains, build_def_use_chains
-from repro.defuse.constprop import defuse_constant_propagation
-from repro.lang.ast_nodes import Program
-from repro.lang.interp import ExecutionResult, run_program
-from repro.lang.parser import parse_expr, parse_program
-from repro.lang.pretty import pretty_expr, pretty_program
-from repro.opt.cfg_constprop import cfg_constant_propagation
-from repro.opt.copyprop import copy_propagation
-from repro.opt.cfg_epr import cfg_eliminate_partial_redundancies
-from repro.opt.pipeline import optimize
-from repro.pipeline.manager import AnalysisManager
-from repro.pipeline.passes import default_registry
-from repro.ssa.cytron import build_ssa_cytron
-from repro.ssa.from_dfg import build_ssa_from_dfg
-from repro.ssa.sccp import sparse_conditional_constant_propagation
-from repro.ssa.ssagraph import SSAForm
-from repro.util.counters import WorkCounter
-from repro.util.metrics import Metrics
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisManager",
-    "AnticipatabilityResult",
-    "CFG",
-    "CTRL_VAR",
-    "DFG",
-    "DFGConstants",
-    "DefUseChains",
-    "DepEdge",
-    "EPRResult",
-    "Edge",
-    "ExecutionResult",
-    "FactoredCDG",
-    "Head",
-    "HeadKind",
-    "Metrics",
-    "Node",
-    "NodeKind",
-    "Port",
-    "PortKind",
-    "Program",
-    "ProgramStructure",
-    "Region",
-    "SSAForm",
-    "WorkCounter",
-    "build_cfg",
-    "build_def_use_chains",
-    "build_dfg",
-    "build_factored_cdg",
-    "build_program_structure",
-    "build_ssa_cytron",
-    "build_ssa_from_dfg",
-    "cfg_constant_propagation",
-    "cfg_eliminate_partial_redundancies",
-    "copy_propagation",
-    "cfg_to_dot",
-    "control_dependence_edges",
-    "control_dependence_nodes",
-    "cycle_equivalence",
-    "default_registry",
-    "defuse_constant_propagation",
-    "dfg_anticipatability",
-    "dfg_constant_propagation",
-    "dfg_dead_code_elimination",
-    "eliminate_partial_redundancies",
-    "analyze_loop_dependences",
-    "parallelizable_loops",
-    "epr_all",
-    "normalize",
-    "optimize",
-    "parse_expr",
-    "parse_program",
-    "pretty_expr",
-    "pretty_program",
-    "run_cfg",
-    "run_program",
-    "sparse_conditional_constant_propagation",
-    "split_critical_edges",
-    "verify_dfg",
-]
+
+class _Package(ModuleType):
+    """A package whose exports keep their names over same-named
+    submodules: loading ``repro.cfg.normalize`` must not rebind the
+    exported function ``repro.cfg.normalize`` to the module."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if isinstance(value, ModuleType) and name in self.__dict__.get(
+            "__all__", ()
+        ):
+            return
+        super().__setattr__(name, value)
+
+
+def lazy_exports(package: str, exports: dict[str, str]):
+    """``__all__``, ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each public name to the module defining it (a
+    leading dot is relative to ``package``).  Its keys, in order, are
+    ``__all__``; ``__getattr__`` imports a name's module on first access
+    and caches the value in the package; ``__dir__`` lists the lazy names
+    with the loaded ones.
+    """
+    namespace = sys.modules[package]
+
+    def __getattr__(name: str) -> object:
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(import_module(exports[name], package), name)
+        vars(namespace)[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(vars(namespace).keys() | exports.keys())
+
+    namespace.__class__ = _Package
+    return list(exports), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnalysisManager": ".pipeline.manager",
+    "AnticipatabilityResult": ".core.anticipate",
+    "CFG": ".cfg.graph",
+    "CTRL_VAR": ".core.dfg",
+    "DFG": ".core.dfg",
+    "DFGConstants": ".core.constprop",
+    "DefUseChains": ".defuse.chains",
+    "DepEdge": ".core.dfg",
+    "EPRResult": ".core.epr",
+    "Edge": ".cfg.graph",
+    "ExecutionResult": ".lang.interp",
+    "FactoredCDG": ".controldep.factored",
+    "Head": ".core.dfg",
+    "HeadKind": ".core.dfg",
+    "LoopDependence": ".core.loopdeps",
+    "Metrics": ".util.metrics",
+    "Node": ".cfg.graph",
+    "NodeKind": ".cfg.graph",
+    "Port": ".core.dfg",
+    "PortKind": ".core.dfg",
+    "Program": ".lang.ast_nodes",
+    "ProgramStructure": ".controldep.sese",
+    "Region": ".controldep.sese",
+    "SSAForm": ".ssa.ssagraph",
+    "WorkCounter": ".util.counters",
+    "build_cfg": ".cfg.builder",
+    "build_def_use_chains": ".defuse.chains",
+    "build_dfg": ".core.build",
+    "build_factored_cdg": ".controldep.factored",
+    "build_program_structure": ".controldep.sese",
+    "build_ssa_cytron": ".ssa.cytron",
+    "build_ssa_from_dfg": ".ssa.from_dfg",
+    "cfg_constant_propagation": ".opt.cfg_constprop",
+    "cfg_eliminate_partial_redundancies": ".opt.cfg_epr",
+    "copy_propagation": ".opt.copyprop",
+    "cfg_to_dot": ".cfg.dot",
+    "control_dependence_edges": ".controldep.cdg",
+    "control_dependence_nodes": ".controldep.cdg",
+    "cycle_equivalence": ".controldep.cycle_equiv",
+    "default_registry": ".pipeline.passes",
+    "defuse_constant_propagation": ".defuse.constprop",
+    "dfg_anticipatability": ".core.anticipate",
+    "dfg_constant_propagation": ".core.constprop",
+    "dfg_dead_code_elimination": ".core.dce",
+    "eliminate_partial_redundancies": ".core.epr",
+    "analyze_loop_dependences": ".core.loopdeps",
+    "parallelizable_loops": ".core.loopdeps",
+    "epr_all": ".core.epr",
+    "normalize": ".cfg.normalize",
+    "optimize": ".opt.pipeline",
+    "parse_expr": ".lang.parser",
+    "parse_program": ".lang.parser",
+    "pretty_expr": ".lang.pretty",
+    "pretty_program": ".lang.pretty",
+    "run_cfg": ".cfg.interp",
+    "run_program": ".lang.interp",
+    "sparse_conditional_constant_propagation": ".ssa.sccp",
+    "split_critical_edges": ".cfg.normalize",
+    "verify_dfg": ".core.verify",
+})

@@ -15,24 +15,16 @@ Public surface:
   result-identical to the object pipeline.
 """
 
-from repro.arena.arena import ArenaCorpus, ProgramArena, lower_cfg
-from repro.arena.kernels import (
-    ArenaSpace,
-    CorpusOrder,
-    analyze_arena,
-    analyze_corpus,
-    arena_constprop,
-)
-from repro.arena.pool import ExpressionPool
+from repro import lazy_exports
 
-__all__ = [
-    "ArenaCorpus",
-    "ArenaSpace",
-    "CorpusOrder",
-    "ExpressionPool",
-    "ProgramArena",
-    "analyze_arena",
-    "analyze_corpus",
-    "arena_constprop",
-    "lower_cfg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ArenaCorpus": ".arena",
+    "ArenaSpace": ".kernels",
+    "CorpusOrder": ".kernels",
+    "ExpressionPool": ".pool",
+    "ProgramArena": ".arena",
+    "analyze_arena": ".kernels",
+    "analyze_corpus": ".kernels",
+    "arena_constprop": ".kernels",
+    "lower_cfg": ".arena",
+})

@@ -18,21 +18,17 @@ validating CFG-level transformations), and :mod:`repro.cfg.dot` renders
 Graphviz.
 """
 
-from repro.cfg.builder import build_cfg
-from repro.cfg.dot import cfg_to_dot
-from repro.cfg.graph import CFG, CFGError, Edge, Node, NodeKind
-from repro.cfg.interp import run_cfg
-from repro.cfg.normalize import normalize, split_critical_edges
+from repro import lazy_exports
 
-__all__ = [
-    "CFG",
-    "CFGError",
-    "Edge",
-    "Node",
-    "NodeKind",
-    "build_cfg",
-    "cfg_to_dot",
-    "normalize",
-    "run_cfg",
-    "split_critical_edges",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CFG": ".graph",
+    "CFGError": ".graph",
+    "Edge": ".graph",
+    "Node": ".graph",
+    "NodeKind": ".graph",
+    "build_cfg": ".builder",
+    "cfg_to_dot": ".dot",
+    "normalize": ".normalize",
+    "run_cfg": ".interp",
+    "split_critical_edges": ".normalize",
+})

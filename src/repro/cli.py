@@ -28,18 +28,15 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from repro.cfg.builder import build_cfg
-from repro.cfg.dot import cfg_to_dot
-from repro.cfg.interp import run_cfg
-from repro.core.dfg import CTRL_VAR
+# Only what ``main()`` catches is imported here; each handler imports
+# what it runs, so a process loads the modules of its own verb.
 from repro.lang.errors import LangError
-from repro.lang.parser import parse_program
-from repro.lang.pretty import pretty_expr
-from repro.opt.pipeline import optimize
-from repro.pipeline.manager import AnalysisManager
 from repro.robust.errors import ReproError
-from repro.util.metrics import Metrics
+
+if TYPE_CHECKING:
+    from repro.pipeline.manager import AnalysisManager
 
 #: Schema identifiers pinned by the golden CLI tests; bump on any
 #: structural change to the emitted JSON.
@@ -53,18 +50,25 @@ def _parse_env(pairs: list[str]) -> dict[str, int]:
     env: dict[str, int] = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
-        if not name or not value.lstrip("-").isdigit():
+        # One optional minus sign, then digits ``int`` accepts ("²" is
+        # a digit to ``isdigit`` but not to ``int``).
+        if not name or not value.removeprefix("-").isdecimal():
             raise SystemExit(f"bad --env entry {pair!r}; expected name=int")
         env[name] = int(value)
     return env
 
 
 def _load(path: str):
+    from repro.lang.parser import parse_program
+
     with open(path) as fh:
         return parse_program(fh.read())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.cfg.builder import build_cfg
+    from repro.cfg.interp import run_cfg
+
     graph = build_cfg(_load(args.file))
     result = run_cfg(graph, _parse_env(args.env), max_steps=args.max_steps)
     for value in result.outputs:
@@ -75,6 +79,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.cfg.builder import build_cfg
+    from repro.core.dfg import CTRL_VAR
+    from repro.pipeline.manager import AnalysisManager
+
     graph = build_cfg(_load(args.file))
     manager = AnalysisManager(graph)
     structure = manager.get("sese")
@@ -102,6 +110,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"dead code: statements {sorted(constants.dead_nodes)} can "
               f"never execute")
     if args.dot:
+        from repro.cfg.dot import cfg_to_dot
+
         with open(args.dot, "w") as fh:
             fh.write(cfg_to_dot(graph))
         print(f"wrote {args.dot}")
@@ -109,6 +119,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.cfg.builder import build_cfg
+    from repro.cfg.interp import run_cfg
+    from repro.lang.pretty import pretty_expr
+    from repro.opt.pipeline import optimize
+
     graph = build_cfg(_load(args.file))
     optimized, report = optimize(graph, stages=args.stages)
     print(f"nodes: {graph.num_nodes} -> {optimized.num_nodes}")
@@ -135,6 +150,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"{total_before} -> {total_after}")
     print(f"outputs (unchanged): {after.outputs}")
     if args.dot:
+        from repro.cfg.dot import cfg_to_dot
+
         with open(args.dot, "w") as fh:
             fh.write(cfg_to_dot(optimized, name="optimized"))
         print(f"wrote {args.dot}")
@@ -153,6 +170,10 @@ def _program_summary(path: str, graph) -> dict:
 def _profiled_manager(args: argparse.Namespace) -> tuple[AnalysisManager, dict]:
     """Build the program's CFG, sweep it through the pipeline manager
     (optionally via the full optimizer), and return (manager, program row)."""
+    from repro.cfg.builder import build_cfg
+    from repro.pipeline.manager import AnalysisManager
+    from repro.util.metrics import Metrics
+
     graph = build_cfg(_load(args.file))
     registry = None
     if getattr(args, "lint", False):
@@ -162,6 +183,8 @@ def _profiled_manager(args: argparse.Namespace) -> tuple[AnalysisManager, dict]:
     manager = AnalysisManager(graph, registry=registry, metrics=Metrics())
     program = _program_summary(args.file, graph)
     if getattr(args, "optimize", False):
+        from repro.opt.pipeline import optimize
+
         optimize(graph, manager=manager)
         manager.run_all()
     else:
@@ -215,6 +238,7 @@ _LINT_COLORS = {
 
 def _lint_dot(graph, diagnostics) -> str:
     """The CFG with lint-flagged nodes filled by strongest severity."""
+    from repro.cfg.dot import cfg_to_dot
     from repro.lint.model import SEVERITIES
 
     strongest: dict[int, str] = {}
@@ -234,6 +258,7 @@ def _lint_dot(graph, diagnostics) -> str:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from repro.cfg.builder import build_cfg
     from repro.lint.engine import LintEngine, LintResult
     from repro.lint.model import SEVERITIES
     from repro.lint.output import (

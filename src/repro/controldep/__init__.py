@@ -23,22 +23,18 @@ This package implements Section 3.1 of the paper:
   exercise the difference.
 """
 
-from repro.controldep.cdg import control_dependence_edges, control_dependence_nodes
-from repro.controldep.cycle_equiv import cycle_equivalence
-from repro.controldep.factored import FactoredCDG, build_factored_cdg
-from repro.controldep.ntscd import NTSCDResult, ntscd, ntscd_reference
-from repro.controldep.sese import ProgramStructure, Region, build_program_structure
+from repro import lazy_exports
 
-__all__ = [
-    "FactoredCDG",
-    "NTSCDResult",
-    "ntscd",
-    "ntscd_reference",
-    "ProgramStructure",
-    "Region",
-    "build_factored_cdg",
-    "build_program_structure",
-    "control_dependence_edges",
-    "control_dependence_nodes",
-    "cycle_equivalence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FactoredCDG": ".factored",
+    "NTSCDResult": ".ntscd",
+    "ntscd": ".ntscd",
+    "ntscd_reference": ".ntscd",
+    "ProgramStructure": ".sese",
+    "Region": ".sese",
+    "build_factored_cdg": ".factored",
+    "build_program_structure": ".sese",
+    "control_dependence_edges": ".cdg",
+    "control_dependence_nodes": ".cdg",
+    "cycle_equivalence": ".cycle_equiv",
+})

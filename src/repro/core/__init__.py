@@ -17,44 +17,30 @@
   CFG edges.
 """
 
-from repro.core.build import build_dfg
-from repro.core.dfg import CTRL_VAR, DFG, DepEdge, Head, HeadKind, Port, PortKind
-from repro.core.constprop import DFGConstants, dfg_constant_propagation
-from repro.core.dce import ADCEStats, dfg_dead_code_elimination
-from repro.core.loopdeps import (
-    ArrayAccess,
-    InductionVariable,
-    LoopDependence,
-    analyze_loop_dependences,
-    parallelizable_loops,
-)
-from repro.core.anticipate import AnticipatabilityResult, dfg_anticipatability
-from repro.core.epr import EPRResult, eliminate_partial_redundancies
-from repro.core.project import project_to_cfg_edges
-from repro.core.verify import verify_dfg
+from repro import lazy_exports
 
-__all__ = [
-    "ADCEStats",
-    "AnticipatabilityResult",
-    "ArrayAccess",
-    "InductionVariable",
-    "LoopDependence",
-    "CTRL_VAR",
-    "DFG",
-    "DFGConstants",
-    "DepEdge",
-    "EPRResult",
-    "Head",
-    "HeadKind",
-    "Port",
-    "PortKind",
-    "analyze_loop_dependences",
-    "build_dfg",
-    "dfg_anticipatability",
-    "dfg_constant_propagation",
-    "dfg_dead_code_elimination",
-    "eliminate_partial_redundancies",
-    "parallelizable_loops",
-    "project_to_cfg_edges",
-    "verify_dfg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ADCEStats": ".dce",
+    "AnticipatabilityResult": ".anticipate",
+    "ArrayAccess": ".loopdeps",
+    "InductionVariable": ".loopdeps",
+    "LoopDependence": ".loopdeps",
+    "CTRL_VAR": ".dfg",
+    "DFG": ".dfg",
+    "DFGConstants": ".constprop",
+    "DepEdge": ".dfg",
+    "EPRResult": ".epr",
+    "Head": ".dfg",
+    "HeadKind": ".dfg",
+    "Port": ".dfg",
+    "PortKind": ".dfg",
+    "analyze_loop_dependences": ".loopdeps",
+    "build_dfg": ".build",
+    "dfg_anticipatability": ".anticipate",
+    "dfg_constant_propagation": ".constprop",
+    "dfg_dead_code_elimination": ".dce",
+    "eliminate_partial_redundancies": ".epr",
+    "parallelizable_loops": ".loopdeps",
+    "project_to_cfg_edges": ".project",
+    "verify_dfg": ".verify",
+})

@@ -19,51 +19,26 @@ twin on the generic frozenset solver as the differential-testing
 oracle.
 """
 
-from repro.dataflow.lattice import (
-    BOTTOM,
-    TOP,
-    ConstValue,
-    eval_abstract,
-    join_const,
-    truthiness,
-)
-from repro.dataflow.solver import solve_dataflow
-from repro.dataflow.liveness import live_variables, live_variables_reference
-from repro.dataflow.reaching import (
-    reaching_definitions,
-    reaching_definitions_reference,
-)
-from repro.dataflow.available import (
-    available_expressions,
-    available_expressions_reference,
-    partially_available_expressions,
-    partially_available_expressions_reference,
-)
-from repro.dataflow.anticipatable import (
-    anticipatable_expressions,
-    anticipatable_expressions_reference,
-    partially_anticipatable_expressions,
-    partially_anticipatable_expressions_reference,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BOTTOM",
-    "ConstValue",
-    "TOP",
-    "anticipatable_expressions",
-    "anticipatable_expressions_reference",
-    "available_expressions",
-    "available_expressions_reference",
-    "eval_abstract",
-    "join_const",
-    "live_variables",
-    "live_variables_reference",
-    "partially_anticipatable_expressions",
-    "partially_anticipatable_expressions_reference",
-    "partially_available_expressions",
-    "partially_available_expressions_reference",
-    "reaching_definitions",
-    "reaching_definitions_reference",
-    "solve_dataflow",
-    "truthiness",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BOTTOM": ".lattice",
+    "ConstValue": ".lattice",
+    "TOP": ".lattice",
+    "anticipatable_expressions": ".anticipatable",
+    "anticipatable_expressions_reference": ".anticipatable",
+    "available_expressions": ".available",
+    "available_expressions_reference": ".available",
+    "eval_abstract": ".lattice",
+    "join_const": ".lattice",
+    "live_variables": ".liveness",
+    "live_variables_reference": ".liveness",
+    "partially_anticipatable_expressions": ".anticipatable",
+    "partially_anticipatable_expressions_reference": ".anticipatable",
+    "partially_available_expressions": ".available",
+    "partially_available_expressions_reference": ".available",
+    "reaching_definitions": ".reaching",
+    "reaching_definitions_reference": ".reaching",
+    "solve_dataflow": ".solver",
+    "truthiness": ".lattice",
+})

@@ -6,17 +6,12 @@ for forward propagation along chains, quadratic in the worst case
 dead branches (it finds *all-paths* constants only -- Section 4's
 motivating deficiency)."""
 
-from repro.defuse.chains import (
-    DefUseChains,
-    build_def_use_chains,
-    build_def_use_chains_reference,
-)
-from repro.defuse.constprop import DefUseConstants, defuse_constant_propagation
+from repro import lazy_exports
 
-__all__ = [
-    "DefUseChains",
-    "DefUseConstants",
-    "build_def_use_chains",
-    "build_def_use_chains_reference",
-    "defuse_constant_propagation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DefUseChains": ".chains",
+    "DefUseConstants": ".constprop",
+    "build_def_use_chains": ".chains",
+    "build_def_use_chains_reference": ".chains",
+    "defuse_constant_propagation": ".constprop",
+})

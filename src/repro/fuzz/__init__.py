@@ -18,28 +18,20 @@ mechanically at scale:
   behind ``repro fuzz``.
 """
 
-from repro.fuzz.harness import FUZZ_SCHEMA, fuzz_suites, run_fuzz, run_trial
-from repro.fuzz.mutators import MUTATORS, Mutation
-from repro.fuzz.oracles import ORACLES, Verdict, run_oracles
-from repro.fuzz.triage import (
-    FUZZ_REPRO_SCHEMA,
-    divergence_fingerprint,
-    load_known_fingerprints,
-    triage_divergence,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FUZZ_SCHEMA",
-    "FUZZ_REPRO_SCHEMA",
-    "MUTATORS",
-    "ORACLES",
-    "Mutation",
-    "Verdict",
-    "divergence_fingerprint",
-    "fuzz_suites",
-    "load_known_fingerprints",
-    "run_fuzz",
-    "run_oracles",
-    "run_trial",
-    "triage_divergence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FUZZ_SCHEMA": ".harness",
+    "FUZZ_REPRO_SCHEMA": ".triage",
+    "MUTATORS": ".mutators",
+    "ORACLES": ".oracles",
+    "Mutation": ".mutators",
+    "Verdict": ".oracles",
+    "divergence_fingerprint": ".triage",
+    "fuzz_suites": ".harness",
+    "load_known_fingerprints": ".triage",
+    "run_fuzz": ".harness",
+    "run_oracles": ".oracles",
+    "run_trial": ".harness",
+    "triage_divergence": ".triage",
+})

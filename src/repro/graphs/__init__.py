@@ -8,37 +8,22 @@ runs on CFGs, reversed CFGs, and the edge-split graphs used for edge
 dominance.
 """
 
-from repro.graphs.dfs import DFSResult, depth_first_search, reverse_postorder
-from repro.graphs.dominance import (
-    DominatorTree,
-    cfg_dominators,
-    cfg_postdominators,
-    dominator_tree,
-    edge_dominators,
-    edge_postdominators,
-)
-from repro.graphs.frontier import dominance_frontiers
-from repro.graphs.lengauer_tarjan import (
-    cfg_dominators_lt,
-    cfg_postdominators_lt,
-    lengauer_tarjan,
-)
-from repro.graphs.loops import back_edges, natural_loops
+from repro import lazy_exports
 
-__all__ = [
-    "DFSResult",
-    "DominatorTree",
-    "back_edges",
-    "cfg_dominators",
-    "cfg_dominators_lt",
-    "cfg_postdominators",
-    "cfg_postdominators_lt",
-    "depth_first_search",
-    "dominance_frontiers",
-    "dominator_tree",
-    "lengauer_tarjan",
-    "edge_dominators",
-    "edge_postdominators",
-    "natural_loops",
-    "reverse_postorder",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DFSResult": ".dfs",
+    "DominatorTree": ".dominance",
+    "back_edges": ".loops",
+    "cfg_dominators": ".dominance",
+    "cfg_dominators_lt": ".lengauer_tarjan",
+    "cfg_postdominators": ".dominance",
+    "cfg_postdominators_lt": ".lengauer_tarjan",
+    "depth_first_search": ".dfs",
+    "dominance_frontiers": ".frontier",
+    "dominator_tree": ".dominance",
+    "lengauer_tarjan": ".lengauer_tarjan",
+    "edge_dominators": ".dominance",
+    "edge_postdominators": ".dominance",
+    "natural_loops": ".loops",
+    "reverse_postorder": ".dfs",
+})

@@ -15,51 +15,32 @@ flow, plus ``goto``/``label`` so that arbitrary -- including irreducible --
 control flow graphs can be written down).
 """
 
-from repro.lang.ast_nodes import (
-    Assign,
-    BinOp,
-    Goto,
-    If,
-    IntLit,
-    Label,
-    Print,
-    Program,
-    Repeat,
-    Skip,
-    UnOp,
-    Var,
-    While,
-)
-from repro.lang.errors import LangError, LexError, ParseError
-from repro.lang.interp import ExecutionResult, Interpreter, run_program
-from repro.lang.lexer import Token, tokenize
-from repro.lang.parser import parse_expr, parse_program
-from repro.lang.pretty import pretty_expr, pretty_program
+from repro import lazy_exports
 
-__all__ = [
-    "Assign",
-    "BinOp",
-    "ExecutionResult",
-    "Goto",
-    "If",
-    "IntLit",
-    "Interpreter",
-    "Label",
-    "LangError",
-    "LexError",
-    "ParseError",
-    "Print",
-    "Program",
-    "Repeat",
-    "Skip",
-    "Token",
-    "UnOp",
-    "Var",
-    "While",
-    "parse_expr",
-    "parse_program",
-    "pretty_expr",
-    "pretty_program",
-    "run_program",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Assign": ".ast_nodes",
+    "BinOp": ".ast_nodes",
+    "ExecutionResult": ".interp",
+    "Goto": ".ast_nodes",
+    "If": ".ast_nodes",
+    "IntLit": ".ast_nodes",
+    "Interpreter": ".interp",
+    "Label": ".ast_nodes",
+    "LangError": ".errors",
+    "LexError": ".errors",
+    "ParseError": ".errors",
+    "Print": ".ast_nodes",
+    "Program": ".ast_nodes",
+    "Repeat": ".ast_nodes",
+    "Skip": ".ast_nodes",
+    "Token": ".lexer",
+    "UnOp": ".ast_nodes",
+    "Var": ".ast_nodes",
+    "While": ".ast_nodes",
+    "parse_expr": ".parser",
+    "parse_program": ".parser",
+    "pretty_expr": ".pretty",
+    "pretty_program": ".pretty",
+    "run_program": ".interp",
+    "tokenize": ".lexer",
+})

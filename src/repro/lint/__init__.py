@@ -29,35 +29,23 @@ Layers:
   recall over the planted-defect generator).
 """
 
-from repro.lint.engine import LintEngine, LintResult, lint_registry
-from repro.lint.model import RULES, Diagnostic, RuleInfo
-from repro.lint.oracle import verify_diagnostics
-from repro.lint.output import (
-    LINT_SCHEMA,
-    SARIF_VERSION,
-    baseline_fingerprints,
-    baseline_payload,
-    lint_payload,
-    render_text,
-    sarif_payload,
-)
-from repro.lint.sweep import LINTSWEEP_SCHEMA, run_lint_sweep
+from repro import lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "LINTSWEEP_SCHEMA",
-    "LINT_SCHEMA",
-    "LintEngine",
-    "LintResult",
-    "RULES",
-    "RuleInfo",
-    "SARIF_VERSION",
-    "baseline_fingerprints",
-    "baseline_payload",
-    "lint_payload",
-    "lint_registry",
-    "render_text",
-    "run_lint_sweep",
-    "sarif_payload",
-    "verify_diagnostics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Diagnostic": ".model",
+    "LINTSWEEP_SCHEMA": ".sweep",
+    "LINT_SCHEMA": ".output",
+    "LintEngine": ".engine",
+    "LintResult": ".engine",
+    "RULES": ".model",
+    "RuleInfo": ".model",
+    "SARIF_VERSION": ".output",
+    "baseline_fingerprints": ".output",
+    "baseline_payload": ".output",
+    "lint_payload": ".output",
+    "lint_registry": ".engine",
+    "render_text": ".output",
+    "run_lint_sweep": ".sweep",
+    "sarif_payload": ".output",
+    "verify_diagnostics": ".oracle",
+})

@@ -17,7 +17,6 @@ dashboards) key on them, so codes are never renumbered or reused.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -209,6 +208,8 @@ class Diagnostic:
         """Stable identity for baseline suppression: rule + position +
         subject.  Deliberately excludes the message text so rewording a
         message does not un-suppress old findings."""
+        import hashlib
+
         where = f"{self.span.line}:{self.span.column}" if self.span else "-"
         raw = f"{self.rule}|{where}|{self.var or ''}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]

@@ -12,26 +12,18 @@
   passes, with interpreter-verified semantics in the test suite.
 """
 
-from repro.opt.cfg_constprop import CFGConstants, cfg_constant_propagation
-from repro.opt.cfg_epr import cfg_eliminate_partial_redundancies, cfg_epr_all
-from repro.opt.copyprop import CopyPropStats, copy_propagation
-from repro.opt.pipeline import OptimizationReport, optimize
-from repro.opt.transform import (
-    fold_and_eliminate,
-    fold_constants,
-    remove_dead_assignments,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CFGConstants",
-    "CopyPropStats",
-    "OptimizationReport",
-    "cfg_constant_propagation",
-    "cfg_eliminate_partial_redundancies",
-    "cfg_epr_all",
-    "copy_propagation",
-    "fold_and_eliminate",
-    "fold_constants",
-    "optimize",
-    "remove_dead_assignments",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CFGConstants": ".cfg_constprop",
+    "CopyPropStats": ".copyprop",
+    "OptimizationReport": ".pipeline",
+    "cfg_constant_propagation": ".cfg_constprop",
+    "cfg_eliminate_partial_redundancies": ".cfg_epr",
+    "cfg_epr_all": ".cfg_epr",
+    "copy_propagation": ".copyprop",
+    "fold_and_eliminate": ".transform",
+    "fold_constants": ".transform",
+    "optimize": ".pipeline",
+    "remove_dead_assignments": ".transform",
+})

@@ -20,6 +20,9 @@ differential-testing oracle (``tests/test_perf_equivalence.py`` holds
 the equivalence suite).
 """
 
-from repro.perf.csr import CSRGraph, build_csr
+from repro import lazy_exports
 
-__all__ = ["CSRGraph", "build_csr"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CSRGraph": ".csr",
+    "build_csr": ".csr",
+})

@@ -9,21 +9,14 @@
 * :class:`~repro.util.metrics.Metrics` is re-exported for convenience.
 """
 
-from repro.pipeline.manager import (
-    AnalysisManager,
-    PassRegistry,
-    PassSpec,
-    PassStats,
-)
-from repro.pipeline.passes import default_registry
-from repro.util.metrics import Metrics, Span
+from repro import lazy_exports
 
-__all__ = [
-    "AnalysisManager",
-    "PassRegistry",
-    "PassSpec",
-    "PassStats",
-    "Metrics",
-    "Span",
-    "default_registry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnalysisManager": ".manager",
+    "PassRegistry": ".manager",
+    "PassSpec": ".manager",
+    "PassStats": ".manager",
+    "Metrics": "repro.util.metrics",
+    "Span": "repro.util.metrics",
+    "default_registry": ".passes",
+})

@@ -29,7 +29,6 @@ farmed out, because its inputs and outputs are explicit.
 from __future__ import annotations
 
 import operator
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -341,6 +340,8 @@ class AnalysisManager:
         codec = _RESULT_CODECS.get(name)
         if codec is not None:
             return codec[0](result)
+        import pickle
+
         return pickle.dumps(result, protocol=EXPORT_PICKLE_PROTOCOL)
 
     def import_result(self, name: str, blob: bytes) -> object:
@@ -355,6 +356,8 @@ class AnalysisManager:
         if codec is not None:
             result = codec[1](blob)
         else:
+            import pickle
+
             result = pickle.loads(blob)
         self.adopt(name, result)
         return result

@@ -38,8 +38,10 @@ value equality), and the kernels no pass returns -- node dominators,
 anticipatability, Cytron SSA -- sit in :data:`KERNEL_TWINS`.
 :func:`twin_pairs` binds both kinds to one graph; the degradation
 policy, the chaos harness, the fuzzer, the bench batteries and the
-equivalence tests all derive from these declarations.  References are
-imported on first call, so declaring them loads no module.
+equivalence tests all derive from these declarations.  Every body --
+pass, reference or kernel twin -- imports its kernel when it runs, so
+declaring the registry loads no analysis module and a process imports
+the kernels of the passes it resolves.
 """
 
 from __future__ import annotations
@@ -49,23 +51,6 @@ from functools import partial
 from importlib import import_module
 from typing import Callable
 
-from repro.controldep.cdg import control_dependence_items
-from repro.controldep.cycle_equiv import cycle_equivalence
-from repro.controldep.sese import ProgramStructure
-from repro.core.build import build_dfg
-from repro.core.constprop import dfg_constant_propagation
-from repro.dataflow.available import (
-    available_expressions,
-    partially_available_expressions,
-)
-from repro.dataflow.liveness import live_variables
-from repro.dataflow.reaching import reaching_definitions
-from repro.defuse.chains import build_def_use_chains
-from repro.defuse.constprop import defuse_constant_propagation
-from repro.graphs.dfs import depth_first_search_csr
-from repro.graphs.dominance import edge_dominators, edge_postdominators
-from repro.opt.cfg_constprop import cfg_constant_propagation
-from repro.perf.csr import build_csr
 from repro.pipeline.manager import (
     AnalysisManager,
     BuildFn,
@@ -73,8 +58,6 @@ from repro.pipeline.manager import (
     PassRegistry,
     register_result_codec,
 )
-from repro.ssa.from_dfg import build_ssa_from_dfg
-from repro.ssa.sccp import sparse_conditional_constant_propagation
 
 _REGISTRY = PassRegistry()
 
@@ -112,6 +95,7 @@ def _dfs_reference(graph, deps, counter):
 def _sese_reference(graph, deps, counter):
     """The program structure rebuilt from the reference substrates."""
     from repro.controldep.cycle_equiv import cycle_equivalence_reference
+    from repro.controldep.sese import ProgramStructure
     from repro.graphs.dominance import (
         edge_dominators_reference,
         edge_postdominators_reference,
@@ -130,6 +114,7 @@ def _region_summaries_reference(graph, deps, counter):
     """The same four problems over the same CSR, solved by the flat
     bitset fixpoint (no region tree involved)."""
     from repro.perf.bitset import solve_bitset
+    from repro.perf.csr import build_csr
     from repro.regions.hierarchical import core_problems
 
     csr = build_csr(graph)
@@ -261,6 +246,8 @@ def _cfg(graph, deps, counter):
     equal=same_csr,
 )
 def _csr(graph, deps, counter):
+    from repro.perf.csr import build_csr
+
     result = build_csr(graph)
     counter.tick("csr_entries", result.n + result.m)
     return result
@@ -272,6 +259,8 @@ def _csr(graph, deps, counter):
     oracle=_dfs_reference,
 )
 def _dfs(graph, deps, counter):
+    from repro.graphs.dfs import depth_first_search_csr
+
     result = depth_first_search_csr(deps["csr"])
     counter.tick("dfs_nodes_numbered", len(result.pre_number))
     return result
@@ -286,6 +275,8 @@ def _dfs(graph, deps, counter):
     equal=same_tree,
 )
 def _dom(graph, deps, counter):
+    from repro.graphs.dominance import edge_dominators
+
     result = edge_dominators(graph, csr=deps["csr"])
     counter.tick("dom_tree_entries", len(result.idom))
     return result
@@ -300,6 +291,8 @@ def _dom(graph, deps, counter):
     equal=same_tree,
 )
 def _pdom(graph, deps, counter):
+    from repro.graphs.dominance import edge_postdominators
+
     result = edge_postdominators(graph, csr=deps["csr"])
     counter.tick("pdom_tree_entries", len(result.idom))
     return result
@@ -311,6 +304,8 @@ def _pdom(graph, deps, counter):
     oracle=_lazy("repro.controldep.cycle_equiv:cycle_equivalence_reference"),
 )
 def _cycle_equiv(graph, deps, counter):
+    from repro.controldep.cycle_equiv import cycle_equivalence
+
     return cycle_equivalence(graph, counter, csr=deps["csr"])
 
 
@@ -321,6 +316,8 @@ def _cycle_equiv(graph, deps, counter):
     equal=same_structure,
 )
 def _sese(graph, deps, counter):
+    from repro.controldep.sese import ProgramStructure
+
     return ProgramStructure(
         graph,
         dom=deps["dom"],
@@ -366,6 +363,8 @@ def _region_summaries(graph, deps, counter):
     description="Ferrante-Ottenstein-Warren control dependence sets",
 )
 def _cdg(graph, deps, counter):
+    from repro.controldep.cdg import control_dependence_items
+
     return control_dependence_items(graph, pdom=deps["pdom"], counter=counter)
 
 
@@ -374,6 +373,8 @@ def _cdg(graph, deps, counter):
     description="dependence flow graph (demand-driven, region bypassing)",
 )
 def _dfg(graph, deps, counter):
+    from repro.core.build import build_dfg
+
     return build_dfg(graph, structure=deps["sese"], counter=counter)
 
 
@@ -384,6 +385,8 @@ def _dfg(graph, deps, counter):
     equal=same_chains,
 )
 def _defuse(graph, deps, counter):
+    from repro.defuse.chains import build_def_use_chains
+
     return build_def_use_chains(graph, counter)
 
 
@@ -392,6 +395,8 @@ def _defuse(graph, deps, counter):
     oracle=_lazy("repro.dataflow.liveness:live_variables_reference"),
 )
 def _liveness(graph, deps, counter):
+    from repro.dataflow.liveness import live_variables
+
     return live_variables(graph, counter=counter, csr=deps["csr"])
 
 
@@ -401,6 +406,8 @@ def _liveness(graph, deps, counter):
     oracle=_lazy("repro.dataflow.reaching:reaching_definitions_reference"),
 )
 def _reaching(graph, deps, counter):
+    from repro.dataflow.reaching import reaching_definitions
+
     return reaching_definitions(graph, counter, csr=deps["csr"])
 
 
@@ -410,6 +417,8 @@ def _reaching(graph, deps, counter):
     oracle=_lazy("repro.dataflow.available:available_expressions_reference"),
 )
 def _available(graph, deps, counter):
+    from repro.dataflow.available import available_expressions
+
     return available_expressions(graph, counter, csr=deps["csr"])
 
 
@@ -421,6 +430,8 @@ def _available(graph, deps, counter):
     ),
 )
 def _pavailable(graph, deps, counter):
+    from repro.dataflow.available import partially_available_expressions
+
     return partially_available_expressions(graph, counter, csr=deps["csr"])
 
 
@@ -429,6 +440,8 @@ def _pavailable(graph, deps, counter):
     description="pruned SSA derived from the DFG (no dominance frontier)",
 )
 def _ssa(graph, deps, counter):
+    from repro.ssa.from_dfg import build_ssa_from_dfg
+
     return build_ssa_from_dfg(graph, dfg=deps["dfg"], counter=counter)
 
 
@@ -437,6 +450,8 @@ def _ssa(graph, deps, counter):
     description="DFG constant propagation (Section 4, possible-paths)",
 )
 def _constprop(graph, deps, counter):
+    from repro.core.constprop import dfg_constant_propagation
+
     return dfg_constant_propagation(graph, dfg=deps["dfg"], counter=counter)
 
 
@@ -445,6 +460,8 @@ def _constprop(graph, deps, counter):
     description="Kildall vector constant propagation (Figure 4a baseline)",
 )
 def _constprop_cfg(graph, deps, counter):
+    from repro.opt.cfg_constprop import cfg_constant_propagation
+
     return cfg_constant_propagation(graph, counter)
 
 
@@ -453,6 +470,8 @@ def _constprop_cfg(graph, deps, counter):
     description="def-use chain constant propagation (all-paths baseline)",
 )
 def _constprop_defuse(graph, deps, counter):
+    from repro.defuse.constprop import defuse_constant_propagation
+
     return defuse_constant_propagation(graph, chains=deps["defuse"], counter=counter)
 
 
@@ -461,6 +480,8 @@ def _constprop_defuse(graph, deps, counter):
     description="sparse conditional constant propagation over SSA",
 )
 def _sccp(graph, deps, counter):
+    from repro.ssa.sccp import sparse_conditional_constant_propagation
+
     return sparse_conditional_constant_propagation(deps["ssa"], counter=counter)
 
 

@@ -14,27 +14,18 @@ The modules layer bottom-up:
   benchmark workload.
 """
 
-from repro.regions.edits import EditSession
-from repro.regions.hierarchical import (
-    build_region_systems,
-    core_problems,
-    hierarchical_summaries,
-    solve_hierarchical,
-)
-from repro.regions.incremental import ANALYSES, RegionDataflow
-from repro.regions.replay import bench_edit_replay, replay_row
-from repro.regions.systems import RegionSystems, build_systems
+from repro import lazy_exports
 
-__all__ = [
-    "ANALYSES",
-    "EditSession",
-    "RegionDataflow",
-    "RegionSystems",
-    "bench_edit_replay",
-    "build_region_systems",
-    "build_systems",
-    "core_problems",
-    "hierarchical_summaries",
-    "replay_row",
-    "solve_hierarchical",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ANALYSES": ".incremental",
+    "EditSession": ".edits",
+    "RegionDataflow": ".incremental",
+    "RegionSystems": ".systems",
+    "bench_edit_replay": ".replay",
+    "build_region_systems": ".hierarchical",
+    "build_systems": ".systems",
+    "core_problems": ".hierarchical",
+    "hierarchical_summaries": ".hierarchical",
+    "replay_row": ".replay",
+    "solve_hierarchical": ".hierarchical",
+})

@@ -21,41 +21,24 @@ Everything the surrounding system needs to fail *well*:
   behind ``repro chaos``.
 """
 
-from repro.robust.errors import (
-    AnalysisError,
-    InputError,
-    PassTimeout,
-    ReproError,
-    StaleSnapshotError,
-    error_record,
-    graph_fingerprint,
-)
-from repro.robust.fallback import DegradationPolicy
-from repro.robust.incidents import INCIDENT_SCHEMA, Incident, IncidentLog
-from repro.robust.validate import cfg_violations, check_cfg
-from repro.robust.watchdog import (
-    Backoff,
-    Deadline,
-    FakeClock,
-    retry_with_backoff,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AnalysisError",
-    "Backoff",
-    "Deadline",
-    "DegradationPolicy",
-    "FakeClock",
-    "INCIDENT_SCHEMA",
-    "Incident",
-    "IncidentLog",
-    "InputError",
-    "PassTimeout",
-    "ReproError",
-    "StaleSnapshotError",
-    "cfg_violations",
-    "check_cfg",
-    "error_record",
-    "graph_fingerprint",
-    "retry_with_backoff",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnalysisError": ".errors",
+    "Backoff": ".watchdog",
+    "Deadline": ".watchdog",
+    "DegradationPolicy": ".fallback",
+    "FakeClock": ".watchdog",
+    "INCIDENT_SCHEMA": ".incidents",
+    "Incident": ".incidents",
+    "IncidentLog": ".incidents",
+    "InputError": ".errors",
+    "PassTimeout": ".errors",
+    "ReproError": ".errors",
+    "StaleSnapshotError": ".errors",
+    "cfg_violations": ".validate",
+    "check_cfg": ".validate",
+    "error_record": ".errors",
+    "graph_fingerprint": ".errors",
+    "retry_with_backoff": ".watchdog",
+})

@@ -16,7 +16,6 @@ is a strict refinement, not a behavior change.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING
 
 from repro.cfg.graph import CFGError
@@ -175,6 +174,8 @@ def graph_fingerprint(graph: "CFG") -> str:
     construction order, dict iteration and hash seeds.  Two failure
     reports with the same fingerprint are about the same graph.
     """
+    import hashlib
+
     hasher = hashlib.sha256()
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]

@@ -21,17 +21,14 @@ lint-on-save and batch traffic:
   bench workload (seeded hot/cold/edit mix; hit-rate, p50/p95, QPS).
 """
 
-from repro.serve.cache import ENGINE_VERSION, ResultCache, cache_key_bytes, source_sha
-from repro.serve.client import ServeClient
-from repro.serve.ops import run_op
-from repro.serve.server import ReproServer
+from repro import lazy_exports
 
-__all__ = [
-    "ENGINE_VERSION",
-    "ReproServer",
-    "ResultCache",
-    "ServeClient",
-    "cache_key_bytes",
-    "run_op",
-    "source_sha",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ENGINE_VERSION": ".cache",
+    "ReproServer": ".server",
+    "ResultCache": ".cache",
+    "ServeClient": ".client",
+    "cache_key_bytes": ".cache",
+    "run_op": ".ops",
+    "source_sha": ".cache",
+})

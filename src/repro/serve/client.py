@@ -19,7 +19,6 @@ import json
 import socket
 
 from repro.robust.errors import InputError
-from repro.serve.ops import run_op
 
 
 class ServeClient:
@@ -146,4 +145,6 @@ def raise_for_error(response: dict) -> dict:
 def one_shot(op: str, source: str, label: str = "") -> dict:
     """The daemon-free answer for a source op (the byte-equality twin of
     a warm daemon response's ``result``)."""
+    from repro.serve.ops import run_op
+
     return run_op(op, source, label=label)

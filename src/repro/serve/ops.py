@@ -12,21 +12,21 @@ collection sorted, no wall-clock fields).
 ``OP_PASSES`` declares which registered passes each op consumes; the
 daemon uses it to warm-start a cold manager from the cross-run cache
 (import the pass blobs) and to publish freshly computed results back.
+
+The analysis stack is imported where an answer is computed, so a
+``repro request`` client that only reads the op vocabulary loads none
+of it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cfg.builder import build_cfg
-from repro.core.dfg import CTRL_VAR
-from repro.lang.parser import parse_program
-from repro.pipeline.manager import AnalysisManager
 from repro.robust.errors import InputError
-from repro.util.metrics import Metrics
 
 if TYPE_CHECKING:
     from repro.cfg.graph import CFG
+    from repro.pipeline.manager import AnalysisManager
 
 #: Protocol ops.  ``edit``, ``stats``, ``ping`` and ``shutdown`` are
 #: daemon-only (stateful or lifecycle); the rest are pure functions of
@@ -56,6 +56,8 @@ DEFAULT_MAX_STEPS = 20_000
 def analyze_payload(graph: "CFG", manager: AnalysisManager) -> dict:
     """The ``analyze`` answer: structure, dependence and constant
     counts -- the JSON twin of ``repro analyze``'s text report."""
+    from repro.core.dfg import CTRL_VAR
+
     structure = manager.get("sese")
     dfg = manager.get("dfg")
     constants = manager.get("constprop")
@@ -87,6 +89,8 @@ def analyze_payload(graph: "CFG", manager: AnalysisManager) -> dict:
 def constprop_payload(graph: "CFG", manager: AnalysisManager) -> dict:
     """The ``constprop`` answer: every compile-time constant use plus
     the unreachable statements, from the paper's DFG propagator."""
+    from repro.core.dfg import CTRL_VAR
+
     constants = manager.get("constprop")
     return {
         "constants": {
@@ -147,6 +151,9 @@ def run_op(
             f"unknown source op {op!r}; available: {known}",
             phase="serve-op",
         )
+    from repro.cfg.builder import build_cfg
+    from repro.lang.parser import parse_program
+
     graph = build_cfg(parse_program(source))
     if op == "lint":
         document, failures = lint_document(graph, max_steps=max_steps)
@@ -158,6 +165,9 @@ def run_op(
                 phase="lint-verify",
             )
         return dict(document, file=label)
+    from repro.pipeline.manager import AnalysisManager
+    from repro.util.metrics import Metrics
+
     manager = AnalysisManager(graph, metrics=Metrics())
     if op == "analyze":
         return analyze_payload(graph, manager)

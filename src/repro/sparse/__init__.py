@@ -33,40 +33,24 @@ project out of the no-split instantiation (``tests/test_sparse_framework
 .py`` pins that equivalence).
 """
 
-from repro.sparse.engine import (
-    DefUseStrategy,
-    SparseForm,
-    SplittingStrategy,
-    SSAStrategy,
-    build_sparse_form,
-    solve,
-    sparse_chain_items,
-)
-from repro.sparse.interval import Interval, IntervalLattice
-from repro.sparse.range_analysis import (
-    RangeResult,
-    range_analysis,
-    range_analysis_reference,
-)
-from repro.sparse.scvn import SCVNResult, sparse_value_numbering
-from repro.sparse.taint import TaintResult, taint_analysis, taint_analysis_reference
+from repro import lazy_exports
 
-__all__ = [
-    "DefUseStrategy",
-    "Interval",
-    "IntervalLattice",
-    "RangeResult",
-    "SCVNResult",
-    "SSAStrategy",
-    "SparseForm",
-    "SplittingStrategy",
-    "TaintResult",
-    "build_sparse_form",
-    "range_analysis",
-    "range_analysis_reference",
-    "solve",
-    "sparse_chain_items",
-    "sparse_value_numbering",
-    "taint_analysis",
-    "taint_analysis_reference",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DefUseStrategy": ".engine",
+    "Interval": ".interval",
+    "IntervalLattice": ".interval",
+    "RangeResult": ".range_analysis",
+    "SCVNResult": ".scvn",
+    "SSAStrategy": ".engine",
+    "SparseForm": ".engine",
+    "SplittingStrategy": ".engine",
+    "TaintResult": ".taint",
+    "build_sparse_form": ".engine",
+    "range_analysis": ".range_analysis",
+    "range_analysis_reference": ".range_analysis",
+    "solve": ".engine",
+    "sparse_chain_items": ".engine",
+    "sparse_value_numbering": ".scvn",
+    "taint_analysis": ".taint",
+    "taint_analysis_reference": ".taint",
+})

@@ -13,20 +13,16 @@ Three roles in the reproduction:
   DFG algorithm, finds possible-paths constants.
 """
 
-from repro.ssa.ssagraph import Phi, SSAForm
-from repro.ssa.cytron import build_ssa_cytron, build_ssa_cytron_reference
-from repro.ssa.destruct import destruct_ssa, sequentialize_parallel_copies
-from repro.ssa.from_dfg import build_ssa_from_dfg
-from repro.ssa.sccp import SCCPResult, sparse_conditional_constant_propagation
+from repro import lazy_exports
 
-__all__ = [
-    "Phi",
-    "SCCPResult",
-    "SSAForm",
-    "build_ssa_cytron",
-    "build_ssa_cytron_reference",
-    "build_ssa_from_dfg",
-    "destruct_ssa",
-    "sequentialize_parallel_copies",
-    "sparse_conditional_constant_propagation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Phi": ".ssagraph",
+    "SCCPResult": ".sccp",
+    "SSAForm": ".ssagraph",
+    "build_ssa_cytron": ".cytron",
+    "build_ssa_cytron_reference": ".cytron",
+    "build_ssa_from_dfg": ".from_dfg",
+    "destruct_ssa": ".destruct",
+    "sequentialize_parallel_copies": ".destruct",
+    "sparse_conditional_constant_propagation": ".sccp",
+})

@@ -1,5 +1,7 @@
 """Small shared utilities: instrumentation counters and ordering helpers."""
 
-from repro.util.counters import WorkCounter
+from repro import lazy_exports
 
-__all__ = ["WorkCounter"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "WorkCounter": ".counters",
+})

@@ -16,56 +16,28 @@ sweep, and the serve daemon's seeded load generator
 and its one-shot twin analyze byte-identical source.
 """
 
-from repro.workloads.generators import (
-    array_program,
-    inline_expansion_program,
-    irreducible_program,
-    random_expr,
-    random_program,
-)
-from repro.workloads.lint_defects import (
-    PLANTED_RULES,
-    PlantedDefect,
-    lint_defect_case,
-    lint_defect_program,
-)
-from repro.workloads.ladders import (
-    defuse_worst_case,
-    diamond_chain,
-    loop_nest,
-    sparse_use_program,
-    wide_variable_program,
-)
-from repro.workloads.suites import (
-    figure1,
-    figure2,
-    figure3a,
-    figure3b,
-    figure6,
-    figure7,
-    section1_example,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "PLANTED_RULES",
-    "PlantedDefect",
-    "array_program",
-    "defuse_worst_case",
-    "diamond_chain",
-    "figure1",
-    "figure2",
-    "figure3a",
-    "figure3b",
-    "figure6",
-    "figure7",
-    "inline_expansion_program",
-    "irreducible_program",
-    "lint_defect_case",
-    "lint_defect_program",
-    "loop_nest",
-    "random_expr",
-    "random_program",
-    "section1_example",
-    "sparse_use_program",
-    "wide_variable_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "PLANTED_RULES": ".lint_defects",
+    "PlantedDefect": ".lint_defects",
+    "array_program": ".generators",
+    "defuse_worst_case": ".ladders",
+    "diamond_chain": ".ladders",
+    "figure1": ".suites",
+    "figure2": ".suites",
+    "figure3a": ".suites",
+    "figure3b": ".suites",
+    "figure6": ".suites",
+    "figure7": ".suites",
+    "inline_expansion_program": ".generators",
+    "irreducible_program": ".generators",
+    "lint_defect_case": ".lint_defects",
+    "lint_defect_program": ".lint_defects",
+    "loop_nest": ".ladders",
+    "random_expr": ".generators",
+    "random_program": ".generators",
+    "section1_example": ".suites",
+    "sparse_use_program": ".ladders",
+    "wide_variable_program": ".ladders",
+})

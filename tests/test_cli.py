@@ -70,6 +70,18 @@ def test_bad_env_rejected(sample):
         main(["run", sample, "--env", "p=notanumber"])
 
 
+@pytest.mark.parametrize("verb", ["run", "optimize"])
+@pytest.mark.parametrize(
+    "value", ["--5", "²"], ids=["double-minus", "superscript-two"]
+)
+def test_non_integer_env_gets_the_bad_env_message(sample, verb, value):
+    # ``isdigit`` accepts both; ``int`` does not.  They are rejected with
+    # the one-line message, not a ValueError traceback.
+    with pytest.raises(SystemExit) as exc:
+        main([verb, sample, "--env", f"p={value}"])
+    assert str(exc.value) == f"bad --env entry 'p={value}'; expected name=int"
+
+
 # -- golden JSON output --------------------------------------------------------
 
 

@@ -99,15 +99,20 @@ def test_twin_oracle_checks_every_declared_twin():
 # A different program: any kernel answering for it instead lies.
 OTHER = "q := 1; if (q > 0) { q := q + 2; } print q;\n"
 
-# Where each twin's fast side is looked up when the twin runs, as
-# ``(module, attribute)`` plus, for Cytron SSA, the one flavour to
-# corrupt.  A lie planted there reaches the fuzzer only through the
-# declared twin.
+# Where each twin's fast side is looked up when the twin runs -- the
+# kernel's defining module, which the pass body imports from on every
+# call -- as ``(module, attribute)`` plus, for Cytron SSA, the one
+# flavour to corrupt.  A lie planted there reaches the fuzzer only
+# through the declared twin: modules that bound the kernel when they
+# were imported (``ssa.cytron`` and ``opt.transform`` bind
+# ``live_variables``) keep the honest function.
 DATAFLOW_KERNELS = {
-    "liveness": ("repro.pipeline.passes", "live_variables"),
-    "reaching": ("repro.pipeline.passes", "reaching_definitions"),
-    "available": ("repro.pipeline.passes", "available_expressions"),
-    "pavailable": ("repro.pipeline.passes", "partially_available_expressions"),
+    "liveness": ("repro.dataflow.liveness", "live_variables"),
+    "reaching": ("repro.dataflow.reaching", "reaching_definitions"),
+    "available": ("repro.dataflow.available", "available_expressions"),
+    "pavailable": (
+        "repro.dataflow.available", "partially_available_expressions",
+    ),
     "anticipatable": (
         "repro.dataflow.anticipatable", "anticipatable_expressions",
     ),
@@ -116,7 +121,7 @@ DATAFLOW_KERNELS = {
     ),
 }
 SPARSE_CLIENTS = {
-    "defuse": ("repro.pipeline.passes", "build_def_use_chains"),
+    "defuse": ("repro.defuse.chains", "build_def_use_chains"),
     "ssa-cytron": ("repro.ssa.cytron", "build_ssa_cytron", False),
     "ssa-cytron-pruned": ("repro.ssa.cytron", "build_ssa_cytron", True),
     "sparse-range": ("repro.sparse.range_analysis", "range_analysis"),
