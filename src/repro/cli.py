@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 # Only what ``main()`` catches is imported here; each handler imports
 # what it runs, so a process loads the modules of its own verb.
 from repro.lang.errors import LangError
-from repro.robust.errors import ReproError
+from repro.robust.errors import InputError, ReproError
 
 if TYPE_CHECKING:
     from repro.pipeline.manager import AnalysisManager
@@ -56,6 +56,17 @@ def _parse_env(pairs: list[str]) -> dict[str, int]:
             raise SystemExit(f"bad --env entry {pair!r}; expected name=int")
         env[name] = int(value)
     return env
+
+
+def _require_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Reject a non-positive duration or count before any work starts
+    (an unset optional flag is left to its default)."""
+    for flag in flags:
+        value = getattr(args, flag.removeprefix("--"))
+        if value is not None and not value > 0:
+            raise InputError(
+                f"{flag} must be positive, got {value}", phase="cli-args"
+            )
 
 
 def _load(path: str):
@@ -413,6 +424,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    _require_positive(args, "--programs", "--size", "--timeout")
     from repro.perf.batch import resolve_suite, run_batch, write_payload
 
     suite = resolve_suite(
@@ -424,14 +436,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         quarantine_dir=args.quarantine_dir,
-        payload_mode=args.payload,
     )
     payload = {"schema": BENCH_SCHEMA, "tag": args.tag, "batch": result}
     if args.output:
         write_payload(payload, args.output)
         print(f"analyzed {result['programs']} programs on "
-              f"{result['workers']} workers ({result['payload_mode']} "
-              f"payloads, ipc {result['ipc_serialize_ms']:.1f}ms / "
+              f"{result['workers']} workers (ipc "
+              f"{result['ipc_serialize_ms']:.1f}ms / "
               f"{result['ipc_payload_bytes']} bytes); wrote {args.output}")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -481,7 +492,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_request(args: argparse.Namespace) -> int:
-    from repro.robust.errors import InputError
+    _require_positive(args, "--timeout")
     from repro.serve.client import ServeClient, one_shot, raise_for_error
     from repro.serve.ops import SOURCE_OPS
 
@@ -519,6 +530,7 @@ def cmd_request(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    _require_positive(args, "--budget")
     from repro.fuzz.harness import run_fuzz
     from repro.perf.batch import write_payload
 
@@ -558,6 +570,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    _require_positive(args, "--budget")
     from repro.perf.batch import write_payload
     from repro.robust.chaos import run_chaos
 
@@ -808,11 +821,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     batch_p.add_argument(
         "--quarantine-dir", metavar="DIR",
         help="write one repro.quarantine/1 JSON per poison program here",
-    )
-    batch_p.add_argument(
-        "--payload", default="specs", choices=("specs", "arena"),
-        help="worker payload: per-program specs (object pipeline) or "
-        "one serialized arena corpus per chunk (fused sweep)",
     )
     batch_p.add_argument("--output", help="write JSON here instead of stdout")
     batch_p.set_defaults(handler=cmd_batch)

@@ -43,7 +43,6 @@ class NTSCDResult:
 
     graph: CFG
     deps: dict[int, frozenset[int]] = field(default_factory=dict)
-    all_reach: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def controls(self, p: int) -> frozenset[int]:
         """The nodes NTSCD-dependent on branch ``p``."""
@@ -97,7 +96,6 @@ def ntscd(graph: CFG, counter: WorkCounter | None = None) -> NTSCDResult:
             if 0 < inside < len(succs):
                 controllers.add(p)
         result.deps[target] = frozenset(controllers)
-        result.all_reach[target] = frozenset(reach_all)
     return result
 
 
@@ -161,5 +159,4 @@ def ntscd_reference(
             if 0 < inside < len(succs):
                 controllers.add(p)
         result.deps[target] = frozenset(controllers)
-        result.all_reach[target] = frozenset(reach_all)
     return result

@@ -7,7 +7,9 @@ an int mask, and hands the result to
 :func:`repro.perf.bitset.solve_bitset`.  The decoded answers are
 *identical* to the generic :func:`repro.dataflow.solver.solve_dataflow`
 on the same problem: both iterate a monotone transfer on a finite
-lattice to its (unique) fixpoint.
+lattice to its (unique) fixpoint.  Each compiler here is the one fast
+path of its analysis, and the generic formulation is its one declared
+reference (:mod:`repro.pipeline.passes`).
 
 The four expression analyses (AV/PAV/ANT/PAN) share one
 :class:`ExpressionSpace`: the universe, the per-node gen masks and the
@@ -273,24 +275,3 @@ def anticipatable_bitsets(
     """ANT (``must=True``) / PAN per edge -- bitset twin of
     :func:`repro.dataflow.anticipatable.anticipatable_expressions`."""
     return _solve_expressions(graph, counter, csr, space, "backward", must)
-
-
-def core_dataflow(graph: CFG, counter: WorkCounter | None = None) -> dict:
-    """The five core analyses the fused arena sweep
-    (:func:`repro.arena.kernels.analyze_arena`) replaces, computed by the
-    object pipeline over one shared snapshot: the four bitset kernels
-    (each compiling its own expression space, as the registered passes
-    do) plus Kildall vector constant propagation.  This is the
-    ``arena-dataflow`` oracle and the other side of every arena
-    equivalence check."""
-    from repro.opt.cfg_constprop import cfg_constant_propagation
-    from repro.perf.csr import build_csr
-
-    csr = build_csr(graph)
-    return {
-        "available": available_bitsets(graph, counter, csr=csr),
-        "anticipatable": anticipatable_bitsets(graph, counter, csr=csr),
-        "liveness": liveness_bitsets(graph, counter=counter, csr=csr),
-        "reaching": reaching_bitsets(graph, counter, csr=csr),
-        "constprop": cfg_constant_propagation(graph, counter),
-    }

@@ -19,10 +19,9 @@ acceptance contract) guarantees:
     Every declared fast/reference twin
     (:func:`repro.pipeline.passes.twin_pairs`: the CSR structure
     kernels, SESE, the bitset dataflow kernels, the hierarchical
-    region-summary solve, the fused arena sweep, the sparse-engine
-    clients and Cytron SSA) gives
-    the same answer as its reference on the mutant, under the twin's
-    declared equality -- one check per twin.
+    region-summary solve, the sparse-engine clients and Cytron SSA)
+    gives the same answer as its reference on the mutant, under the
+    twin's declared equality -- one check per twin.
 ``structure``
     Per-mutator metamorphic invariants: region wrapping cannot *reduce*
     the canonical SESE region count; a dependence-legal reorder keeps
@@ -31,11 +30,6 @@ acceptance contract) guarantees:
     DFG port-order determinism: building the dependence graph twice from
     fresh copies must serialize identically (the PR-1 contract the
     byte-deterministic payloads depend on).
-``bytes-roundtrip``
-    The PR-7 contract: lowering the mutant into an arena corpus,
-    serializing it, deserializing and running the fused arena sweep must
-    equal the direct object-graph pipeline on all five analyses -- the
-    wire format the pool workers consume loses nothing.
 
 Oracles never raise on a *divergence* -- they return a failing
 :class:`Verdict` with enough detail to fingerprint.  An oracle that
@@ -216,32 +210,6 @@ def oracle_structure(base_graph, mutant_graph, context: Mapping) -> Verdict:
     return Verdict("structure", True, checks)
 
 
-def oracle_bytes_roundtrip(
-    base_graph, mutant_graph, context: Mapping
-) -> Verdict:
-    """The PR-7 contract: lower -> serialize -> deserialize -> fused
-    arena solve equals the direct object-graph pipeline on the mutant
-    for all five analyses the sweep fuses."""
-    from repro.arena import ArenaCorpus, ExpressionPool, analyze_corpus
-    from repro.dataflow.bitsets import core_dataflow
-
-    direct = core_dataflow(mutant_graph)
-    corpus = ArenaCorpus(ExpressionPool())
-    corpus.add(mutant_graph, label="mutant")
-    decoded = ArenaCorpus.from_bytes(corpus.to_bytes())
-    results = analyze_corpus(decoded)["mutant"]
-    checks = 0
-    for name in sorted(direct):
-        checks += 1
-        if results[name] != direct[name]:
-            return Verdict(
-                "bytes-roundtrip", False, checks,
-                detail=f"{name}: arena byte roundtrip diverges from the "
-                       f"object-graph pipeline",
-            )
-    return Verdict("bytes-roundtrip", True, checks)
-
-
 def dfg_digest(graph) -> str:
     """A stable digest of the DFG's ports, port order and head order."""
     manager = AnalysisManager(graph)
@@ -275,7 +243,6 @@ ORACLES: dict[str, Callable] = {
     "twin": oracle_twin,
     "structure": oracle_structure,
     "determinism": oracle_determinism,
-    "bytes-roundtrip": oracle_bytes_roundtrip,
 }
 
 #: Oracles that execute the program.

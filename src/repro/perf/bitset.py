@@ -19,7 +19,9 @@ problem.
 
 :mod:`repro.dataflow.bitsets` compiles each concrete analysis (liveness,
 reaching definitions, available/anticipatable expressions) down to a
-:class:`BitsetProblem`.
+:class:`BitsetProblem`, and this solver is the one fast path for all of
+them; the region solvers of :mod:`repro.regions` re-solve the same
+compiled problems over the structure tree.
 """
 
 from __future__ import annotations
@@ -225,12 +227,11 @@ class MaskDecoder:
     twice: it unions pre-hashed one-element frozensets (``singles``),
     and a set union copies entries *with their stored hashes*, so each
     element's (potentially recursive, Python-level) ``__hash__`` runs
-    once when its singleton is built.  ``singles`` may be supplied --
-    the arena's :class:`~repro.arena.kernels.CorpusOrder` shares
-    corpus-wide ones -- and is otherwise built on the first decode, so a
-    decoder nobody uses costs nothing.  A mask wider than one 64-bit
-    word unions per-``(position, word)`` parts cached in ``_parts``:
-    masks repeat whole words far more often than they repeat wholesale.
+    once when its singleton is built.  ``singles`` is built on the
+    first decode, so a decoder nobody uses costs nothing.  A mask wider
+    than one 64-bit word unions per-``(position, word)`` parts cached in
+    ``_parts``: masks repeat whole words far more often than they repeat
+    wholesale.
 
     Keep one decoder per universe and reuse it across solves to hit both
     caches; :func:`decode_masks` is the one-shot convenience wrapper.
@@ -238,9 +239,9 @@ class MaskDecoder:
 
     __slots__ = ("universe", "singles", "_cache", "_parts")
 
-    def __init__(self, universe: list, singles: list | None = None) -> None:
+    def __init__(self, universe: list) -> None:
         self.universe = universe
-        self.singles = singles
+        self.singles: list[frozenset] | None = None
         self._cache: dict[int, frozenset] = {0: frozenset()}
         self._parts: dict[tuple[int, int], frozenset] = {}
 

@@ -10,16 +10,15 @@
          │       │                         │       └─ (copyprop, EPR too)
          │       │                         └─ regions ── region-summaries
          │       ├─ liveness / reaching
-         │       ├─ available / pavailable
-         │       └─ arena ── arena-dataflow
+         │       └─ available / pavailable
          ├─ defuse ── constprop-defuse
          └─ constprop-cfg
 
 The ``csr`` pass snapshots the CFG into flat arrays
-(:class:`repro.perf.csr.CSRGraph`); the graph-structure passes, the
-bitset dataflow passes and the arena all run on it, so the snapshot --
-and everything memoized on it, such as each direction's reverse
-postorder -- is built once per CFG shape version and shared.
+(:class:`repro.perf.csr.CSRGraph`); the graph-structure passes and the
+bitset dataflow passes all run on it, so the snapshot -- and everything
+memoized on it, such as each direction's reverse postorder -- is built
+once per CFG shape version and shared.
 
 Shape-only passes (``uses_exprs=False``) read the graph's nodes, edges
 and assignment targets but never an expression: dominance, cycle
@@ -56,7 +55,6 @@ from repro.pipeline.manager import (
     BuildFn,
     EqualFn,
     PassRegistry,
-    register_result_codec,
 )
 
 _REGISTRY = PassRegistry()
@@ -217,16 +215,6 @@ def same_regions(a, b) -> bool:
         and sa.fwd_units == sb.fwd_units
         and sa.bwd_units == sb.bwd_units
         for sa, sb in zip(a.systems, b.systems)
-    )
-
-
-def same_arena(a, b) -> bool:
-    """Two ``(pool, arena)`` lowerings: equal RPA1 encodings."""
-    from repro.arena.arena import ArenaCorpus
-
-    return (
-        ArenaCorpus(a[0], [a[1]]).to_bytes()
-        == ArenaCorpus(b[0], [b[1]]).to_bytes()
     )
 
 
@@ -532,55 +520,6 @@ def _scvn(graph, deps, counter):
     from repro.sparse.scvn import sparse_value_numbering
 
     return sparse_value_numbering(deps["ssa"], deps["sccp"], counter)
-
-
-@_REGISTRY.register(
-    "arena", deps=("cfg", "csr"),
-    description="arena lowering: node/edge payload interned into an "
-                "expression pool over the CSR snapshot",
-    equal=same_arena,
-)
-def _arena(graph, deps, counter):
-    from repro.arena import ExpressionPool, lower_cfg
-
-    pool = ExpressionPool(counter=counter)
-    return (pool, lower_cfg(graph, pool, counter=counter, csr=deps["csr"]))
-
-
-@_REGISTRY.register(
-    "arena-dataflow", deps=("arena",),
-    description="fused arena solve: the four bitset analyses plus vector "
-                "constant propagation in one sweep",
-    # The object-graph five-analysis menu the fused sweep replaces.
-    oracle=_lazy("repro.dataflow.bitsets:core_dataflow"),
-)
-def _arena_dataflow(graph, deps, counter):
-    from repro.arena import analyze_arena
-
-    pool, arena = deps["arena"]
-    return analyze_arena(arena, pool, counter=counter)
-
-
-def _arena_encode(result) -> bytes:
-    """Export the ``arena`` pass as its RPA1 wire payload (a one-program
-    corpus) instead of a pickle: the versioned varint format is smaller,
-    and decode validates the tables and rebuilds the pool's derived
-    tables and a graph-less CSR snapshot from scratch -- a detach by
-    construction."""
-    from repro.arena.arena import ArenaCorpus
-
-    pool, arena = result
-    return ArenaCorpus(pool, [arena]).to_bytes()
-
-
-def _arena_decode(blob: bytes):
-    from repro.arena.arena import ArenaCorpus
-
-    corpus = ArenaCorpus.from_bytes(blob)
-    return (corpus.pool, corpus.programs[0])
-
-
-register_result_codec("arena", _arena_encode, _arena_decode)
 
 
 #: Kernel twins whose results no registered pass returns, as

@@ -3,8 +3,8 @@
 Every entry is keyed by the triple ``(source_sha256, pass_name,
 engine_version)`` and holds an opaque byte blob -- a pickled pass result
 exported through :meth:`repro.pipeline.manager.AnalysisManager.
-export_result`, an ``RPA1`` arena payload (the ``arena`` pass's codec),
-or a canonical op-level JSON document.  The on-disk layout::
+export_result` or a canonical op-level JSON document.  The on-disk
+layout::
 
     <root>/<engine_version>/<sha[:2]>/<sha>/<pass_name>.bin
 

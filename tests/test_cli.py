@@ -183,7 +183,7 @@ def test_bench_smoke_payload(tmp_path, capsys):
     names = [w["name"] for w in payload["workloads"]]
     assert names == [
         "c1-structure", "f4-dataflow", "edit-replay",
-        "edit-replay-balance", "arena-fused", "sparse-clients",
+        "edit-replay-balance", "sparse-clients",
     ]
     for workload in payload["workloads"]:
         assert workload["rows"], workload["name"]
@@ -299,6 +299,35 @@ def test_unknown_suite_exits_2_and_lists_names(capsys, command, suites):
     for name in suites:
         assert name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["request", "ping", "--socket", "x.sock", "--timeout", "-1"],
+         "--timeout"),
+        (["batch", "--workers", "0", "--timeout", "-1"], "--timeout"),
+        (["chaos", "--smoke", "--budget", "-1"], "--budget"),
+        (["fuzz", "--suite", "smoke", "--budget", "0"], "--budget"),
+        (["batch", "--workers", "0", "--programs", "0"], "--programs"),
+        (["batch", "--workers", "0", "--size", "-5"], "--size"),
+    ],
+    ids=["request-timeout", "batch-timeout", "chaos-budget", "fuzz-budget",
+         "batch-programs", "batch-size"],
+)
+def test_non_positive_flag_is_rejected_before_any_work(
+    tmp_path, capsys, argv, flag
+):
+    """A non-positive duration or count is an input error naming the
+    flag: exit 2, one line, no traceback, and nothing written."""
+    out = tmp_path / "out.json"
+    if argv[0] != "request":
+        argv = argv + ["--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: input error: {flag} must be positive")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_fuzz_cli_smoke(tmp_path, capsys):

@@ -359,7 +359,7 @@ corpus = loadgen_corpus(smoke=True)
 for label, source in corpus[:6]:
     sha = source_sha(source)
     print(label, sha)
-    for name in ("cfg", "sese", "dfg", "constprop", "arena", "op:lint"):
+    for name in ("cfg", "sese", "dfg", "constprop", "op:lint"):
         print(cache_key_bytes(sha, name, "seed-sweep").hex())
     for op in ("analyze", "constprop", "lint"):
         print(canonical_json(run_op(op, source, label=label)).hex())

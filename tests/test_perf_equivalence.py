@@ -11,8 +11,7 @@ references under the declared comparators:
   graph) and cycle-equivalence class assignments;
 * canonical SESE regions and the node -> region map;
 * the bitset dataflow results (liveness, reaching definitions, the four
-  expression analyses), the hierarchical region-summary solve and the
-  fused arena sweep.
+  expression analyses) and the hierarchical region-summary solve.
 """
 
 from __future__ import annotations

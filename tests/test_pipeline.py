@@ -42,8 +42,7 @@ SHAPE_PASSES = (
 EXPR_PASSES = (
     "dfg", "defuse", "liveness", "reaching", "available", "pavailable",
     "ssa", "constprop", "constprop-cfg", "constprop-defuse", "sccp",
-    "region-summaries", "arena", "arena-dataflow",
-    "sparse-range", "sparse-taint", "scvn",
+    "region-summaries", "sparse-range", "sparse-taint", "scvn",
 )
 
 

@@ -186,7 +186,7 @@ def test_default_oracles_cover_reference_twins() -> None:
     assert names == {
         "dfs", "dom", "pdom", "cycle-equiv", "sese",
         "liveness", "reaching", "available", "pavailable",
-        "region-summaries", "arena-dataflow",
+        "region-summaries",
         "defuse", "sparse-range", "sparse-taint", "ntscd",
     }
 

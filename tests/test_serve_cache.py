@@ -99,22 +99,6 @@ def test_import_result_feeds_dependents(tmp_path) -> None:
     )
 
 
-def test_arena_blob_is_rpa1_wire_format() -> None:
-    """The arena pass exports its versioned RPA1 payload, not a pickle,
-    and the import rebuilds an equivalent pool + program."""
-    from repro.arena import analyze_arena
-
-    source = SMOKE_CORPUS["branchy"]
-    producer = _manager(source)
-    blob = producer.export_result("arena")
-    assert blob.startswith(b"RPA1")
-
-    consumer = _manager(source)
-    pool, arena = consumer.import_result("arena", blob)
-    p_pool, p_arena = producer.get("arena")
-    assert analyze_arena(arena, pool) == analyze_arena(p_arena, p_pool)
-
-
 # -- engine version bump ------------------------------------------------------
 
 
@@ -227,7 +211,7 @@ def test_export_detaches_from_live_graph() -> None:
     producer = _manager(source)
     blobs = {
         name: producer.export_result(name)
-        for name in ("cfg", "sese", "dfg", "constprop", "arena")
+        for name in ("cfg", "sese", "dfg", "constprop")
     }
 
     # Mutate the live graph through an edit session sharing the manager:

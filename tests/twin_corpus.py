@@ -30,7 +30,6 @@ TWIN_GROUPS: dict[str, tuple[str, ...]] = {
     "dataflow": (
         "liveness", "reaching", "available", "pavailable",
         "anticipatable", "panticipatable", "region-summaries",
-        "arena-dataflow",
     ),
     # test_sparse_framework.py
     "ssa": ("ssa-cytron", "ssa-cytron-pruned"),
