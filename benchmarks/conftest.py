@@ -14,10 +14,6 @@ numbers are available via ``manager.report()`` for shape assertions.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-
 import pytest
 
 from repro.cfg.builder import build_cfg
@@ -60,61 +56,6 @@ def large_random_manager(large_random_graph):
 @pytest.fixture(scope="session")
 def inline_manager(inline_graph):
     return AnalysisManager(inline_graph)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Optionally export pytest-benchmark timings as ``repro.bench/1``.
-
-    Set ``REPRO_BENCH_JSON=path.json`` to write the session's benchmark
-    measurements in the same schema ``repro bench`` emits, one workload
-    per benchmarked test.  Fields a pytest benchmark has no counterpart
-    for (``legacy_ms``, ``speedup``, ``identical`` — there is no legacy
-    twin being raced) are ``null``; downstream tooling that consumes
-    ``repro.bench/1`` keys on the shared shape, not on those values.
-    """
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = getattr(bench_session, "benchmarks", None) or []
-    workloads = []
-    for bench in benchmarks:
-        stats = getattr(bench, "stats", None)
-        # pytest-benchmark nests Metadata.stats.min in some versions and
-        # exposes .min directly in others.
-        minimum = getattr(stats, "min", None)
-        if minimum is None:
-            minimum = getattr(getattr(stats, "stats", None), "min", None)
-        if minimum is None:
-            continue
-        row = {
-            "size": bench.name,
-            "nodes": None,
-            "edges": None,
-            "legacy_ms": None,
-            "fast_ms": round(minimum * 1000.0, 3),
-            "speedup": None,
-            "identical": None,
-        }
-        workloads.append(
-            {
-                "name": bench.fullname,
-                "family": "pytest-benchmark",
-                "rows": [row],
-                "largest": row,
-            }
-        )
-    payload = {
-        "schema": "repro.bench/1",
-        "tag": "pytest",
-        "mode": "pytest",
-        "python": platform.python_version(),
-        "repeat": None,
-        "workloads": workloads,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def ladder_graphs(kind: str, sizes):

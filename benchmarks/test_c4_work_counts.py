@@ -9,11 +9,19 @@ On the sparse-use family (R disjoint regions, each with its own little
 variable neighbourhood) the vector algorithm pays for all R*k variables
 at every node -- work grows ~quadratically in R -- while DFG work grows
 ~linearly, because no dependence crosses between regions.
+
+The sparse range and taint clients make the same argument for sparse
+evaluation in general (Tavares et al., arXiv:1403.5952): their declared
+dense references visit every (edge, variable) pair, while the sparse
+engine visits only the sites whose input names change.
 """
 
 from repro.cfg.builder import build_cfg
 from repro.core.constprop import dfg_constant_propagation
 from repro.opt.cfg_constprop import cfg_constant_propagation
+from repro.pipeline.passes import default_registry
+from repro.sparse.range_analysis import range_analysis
+from repro.sparse.taint import taint_analysis
 from repro.util.counters import WorkCounter
 from repro.workloads.ladders import sparse_use_program
 
@@ -28,16 +36,43 @@ def work_pair(n):
     return cfg_counter["vector_entries"], dfg_counter.total()
 
 
+def client_visit_pair(n):
+    """Visits of the range + taint clients: dense references vs sparse."""
+    registry = default_registry()
+    dense, sparse = WorkCounter(), WorkCounter()
+    for name in ("sparse-range", "sparse-taint"):
+        registry.spec(name).oracle(GRAPHS[n], {}, dense)
+    range_analysis(GRAPHS[n], counter=sparse)
+    taint_analysis(GRAPHS[n], counter=sparse)
+    return (
+        dense["dense_visits"] + dense["dense_taint_visits"],
+        sparse["sparse_visits"],
+    )
+
+
+#: (dense, sparse) work of each pair, by label.
+PAIRS = {
+    "constant propagation (CFG / DFG)": work_pair,
+    "range + taint visits (dense / sparse)": client_visit_pair,
+}
+
+
 def test_shape_sparse_work(benchmark):
-    rows = {n: work_pair(n) for n in R_SIZES}
-    print("\nC4 work (regions: CFG / DFG):")
-    for n in R_SIZES:
-        print(f"  R={n:3d}: {rows[n][0]:8d} / {rows[n][1]:6d}")
-    for a, b in zip(R_SIZES, R_SIZES[1:]):
-        cfg_ratio = rows[b][0] / rows[a][0]
-        dfg_ratio = rows[b][1] / rows[a][1]
-        assert cfg_ratio > 3.0, f"dense work should ~quadruple: {cfg_ratio}"
-        assert dfg_ratio < 3.0, f"sparse work should ~double: {dfg_ratio}"
+    for label, pair in PAIRS.items():
+        rows = {n: pair(n) for n in R_SIZES}
+        print(f"\nC4 work, {label}:")
+        for n in R_SIZES:
+            print(f"  R={n:3d}: {rows[n][0]:8d} / {rows[n][1]:6d}")
+            assert rows[n][1] < rows[n][0], (label, n, rows[n])
+        for a, b in zip(R_SIZES, R_SIZES[1:]):
+            dense_ratio = rows[b][0] / rows[a][0]
+            sparse_ratio = rows[b][1] / rows[a][1]
+            assert dense_ratio > 3.0, (
+                f"{label}: dense work should ~quadruple: {dense_ratio}"
+            )
+            assert sparse_ratio < 3.0, (
+                f"{label}: sparse work should ~double: {sparse_ratio}"
+            )
     benchmark(work_pair, R_SIZES[-1])
 
 

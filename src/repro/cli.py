@@ -62,7 +62,7 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
     """Reject a non-positive duration or count before any work starts
     (an unset optional flag is left to its default)."""
     for flag in flags:
-        value = getattr(args, flag.removeprefix("--"))
+        value = getattr(args, flag.removeprefix("--").replace("-", "_"))
         if value is not None and not value > 0:
             raise InputError(
                 f"{flag} must be positive, got {value}", phase="cli-args"
@@ -77,6 +77,7 @@ def _load(path: str):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _require_positive(args, "--max-steps")
     from repro.cfg.builder import build_cfg
     from repro.cfg.interp import run_cfg
 
@@ -130,6 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _require_positive(args, "--max-steps")
     from repro.cfg.builder import build_cfg
     from repro.cfg.interp import run_cfg
     from repro.lang.pretty import pretty_expr
@@ -269,6 +271,7 @@ def _lint_dot(graph, diagnostics) -> str:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    _require_positive(args, "--max-steps")
     from repro.cfg.builder import build_cfg
     from repro.lint.engine import LintEngine, LintResult
     from repro.lint.model import SEVERITIES
@@ -382,44 +385,6 @@ def cmd_lintsweep(args: argparse.Namespace) -> int:
               f"or recall below {payload['recall_floor']:.0%}",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.batch import check_regression, run_bench, write_payload
-
-    payload = run_bench(
-        tag=args.tag,
-        smoke=args.smoke,
-        repeat=args.repeat,
-        batch_workers=args.workers,
-        serve=args.serve,
-    )
-    out = args.output or f"BENCH_{args.tag}.json"
-    write_payload(payload, out)
-    for workload in payload["workloads"]:
-        largest = workload["largest"]
-        flag = "ok" if all(r["identical"] for r in workload["rows"]) else \
-            "RESULTS DIFFER"
-        print(f"{workload['name']:14s} largest={largest['size']:>10} "
-              f"legacy={largest['legacy_ms']:9.2f}ms "
-              f"fast={largest['fast_ms']:8.2f}ms "
-              f"speedup={largest['speedup']:5.2f}x  [{flag}]")
-    batch = payload["batch"]
-    print(f"batch          {batch['programs']} programs, "
-          f"{batch['workers']} workers, {batch['chunks']} chunks, "
-          f"pool {batch['pool_wall_ms']:.1f}ms "
-          f"(analysis {batch['analysis_wall_ms']:.1f}ms)")
-    print(f"wrote {out}")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regression(payload, baseline)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"no regression vs {args.check}")
     return 0
 
 
@@ -607,26 +572,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, execute: bool = False, verbose: bool = False):
+        """The source file, plus the options the verb's handler reads:
+        ``execute`` for verbs that run the program on an environment."""
         p.add_argument("file", help="source file")
-        p.add_argument(
-            "--env", action="append", default=[], metavar="VAR=INT",
-            help="initial variable binding (repeatable)",
-        )
-        p.add_argument("--max-steps", type=int, default=1_000_000)
-        p.add_argument("-v", "--verbose", action="store_true")
+        if execute:
+            p.add_argument(
+                "--env", action="append", default=[], metavar="VAR=INT",
+                help="initial variable binding (repeatable)",
+            )
+            p.add_argument("--max-steps", type=int, default=1_000_000)
+        if verbose:
+            p.add_argument("-v", "--verbose", action="store_true")
 
     run_p = sub.add_parser("run", help="execute a program")
-    common(run_p)
+    common(run_p, execute=True, verbose=True)
     run_p.set_defaults(handler=cmd_run)
 
     an_p = sub.add_parser("analyze", help="structure + constants report")
-    common(an_p)
+    common(an_p, verbose=True)
     an_p.add_argument("--dot", help="write the CFG as Graphviz")
     an_p.set_defaults(handler=cmd_analyze)
 
     opt_p = sub.add_parser("optimize", help="run the staged optimizer")
-    common(opt_p)
+    common(opt_p, execute=True)
     opt_p.add_argument("--stages", type=int, default=3)
     opt_p.add_argument("--dot", help="write the optimized CFG as Graphviz")
     opt_p.set_defaults(handler=cmd_optimize)
@@ -707,36 +676,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--output", help="payload path (default LINT_<tag>.json)"
     )
     sweep_p.set_defaults(handler=cmd_lintsweep)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="time fast paths vs legacy on the paper workloads; write "
-        "BENCH_<tag>.json",
-    )
-    bench_p.add_argument("--tag", default="dev")
-    bench_p.add_argument(
-        "--smoke", action="store_true",
-        help="small sizes / fewer repeats (the CI profile)",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=None,
-        help="timing samples per row (best-of; default 5, smoke 3)",
-    )
-    bench_p.add_argument(
-        "--workers", type=int, default=0,
-        help="pool size for the batch section (0 = in-process)",
-    )
-    bench_p.add_argument("--output", help="payload path (default BENCH_<tag>.json)")
-    bench_p.add_argument(
-        "--check", metavar="BASELINE",
-        help="fail on >25%% speedup regression vs this baseline JSON",
-    )
-    bench_p.add_argument(
-        "--serve", action="store_true",
-        help="include the serve-loadgen workload (live daemon, warm-vs-"
-        "one-shot timing and byte-equality, seeded request mix)",
-    )
-    bench_p.set_defaults(handler=cmd_bench)
 
     serve_p = sub.add_parser(
         "serve",

@@ -1,4 +1,4 @@
-"""Performance subsystem: flat-array graph kernels and batch drivers.
+"""Performance subsystem: flat-array graph kernels and the batch driver.
 
 Three layers, mirroring the plan in DESIGN.md section 8:
 
@@ -10,8 +10,8 @@ Three layers, mirroring the plan in DESIGN.md section 8:
   postorder, DFS edge classification, Cooper-Harvey-Kennedy dominators)
   that the graph and control-dependence modules dispatch to;
 * :mod:`repro.perf.bitset` + :mod:`repro.perf.batch` -- a bitset fast
-  path for separable gen/kill dataflow problems and the ``repro bench``
-  / ``repro batch`` workload drivers.
+  path for separable gen/kill dataflow problems and the ``repro batch``
+  workload driver.
 
 Everything here is a *fast path*: each kernel has a dict-based legacy
 twin, declared next to the pass registry

@@ -1,56 +1,23 @@
-"""Benchmark batteries and the parallel batch-analysis driver.
+"""The parallel batch-analysis driver behind ``repro batch``.
 
-Two entry points, both surfaced through the CLI:
-
-* :func:`run_bench` (``repro bench``) times the fast paths (CSR kernels,
-  bitset dataflow) against the legacy generic implementations on the
-  paper-experiment workload families -- the C1 diamond chains and the F4
-  wide-variable programs -- verifying on every row that both sides
-  produce identical results.  The payload (schema ``repro.bench/1``) is
-  written to ``BENCH_<tag>.json`` so successive PRs leave a perf
-  trajectory at the repo root.
-* :func:`run_batch` (``repro batch``) analyzes a suite of generated
-  programs across a ``multiprocessing`` pool: the suite is chunked, each
-  worker builds its own :class:`~repro.pipeline.manager.AnalysisManager`
-  per program (spawn-safe -- workers receive program *specs*, never live
-  graphs), and per-pass work/wall metrics are aggregated across the
-  pool.
-
-Speedups are computed from best-of-``repeat`` wall times, so a noisy
-scheduler tick slows a sample, not the ratio.  Regression checking
-(:func:`check_regression`) compares *speedups* -- fast-vs-legacy ratios
-measured on the same machine in the same run -- against a checked-in
-baseline, which keeps the CI gate meaningful across differently-sized
-runners.
+:func:`run_batch` analyzes a suite of generated programs across a
+supervised process pool: each worker builds its own
+:class:`~repro.pipeline.manager.AnalysisManager` per program (spawn-safe
+-- workers receive program *specs*, never live graphs), and per-pass
+work/wall metrics are aggregated across the pool.  The suites
+(``default``, ``equivalence``, ``lint``, ``sparse``) are plain lists of
+such specs, so the fuzzer, the chaos harness, the lint sweep and the
+test corpus draw on the same programs.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import sys
 import time
 from typing import Any, Callable
 
 from repro.cfg.builder import build_cfg
-from repro.controldep.cycle_equiv import cycle_equivalence
-from repro.dataflow.bitsets import (
-    anticipatable_bitsets,
-    available_bitsets,
-    expression_space,
-    liveness_bitsets,
-    reaching_bitsets,
-)
-from repro.graphs.dfs import depth_first_search_csr
-from repro.graphs.dominance import (
-    cfg_dominators,
-    cfg_postdominators,
-    edge_dominators,
-    edge_postdominators,
-)
-from repro.perf.csr import build_csr
-from repro.pipeline.passes import default_registry, twin_pairs
 from repro.workloads.generators import (
     array_program,
     irreducible_program,
@@ -64,285 +31,6 @@ from repro.workloads.ladders import (
     sparse_use_program,
     wide_variable_program,
 )
-
-BENCH_SCHEMA = "repro.bench/1"
-
-#: Workload sizes: (label-forming parameter tuples, largest last).
-C1_SIZES = (50, 100, 200, 400, 800)
-F4_SIZES = ((64, 1), (128, 2), (256, 4), (512, 6))
-C1_SIZES_SMOKE = (50, 100)
-F4_SIZES_SMOKE = ((48, 1), (96, 2))
-REPLAY_SIZES = (60, 120, 240)
-REPLAY_SIZES_SMOKE = (40, 80)
-#: Flat-root vs balanced-root replay: the win grows with chain length,
-#: so the rows start past the ~100-diamond crossover.
-BALANCE_SIZES = (128, 256, 512)
-BALANCE_SIZES_SMOKE = (128, 256)
-#: Sparse-client workload rows: region counts of the F1 sparse-use
-#: ladder, where dense per-edge environments pay for every variable at
-#: every node while the split-based clients touch only live names.
-SPARSE_CLIENT_SIZES = (16, 32, 64)
-SPARSE_CLIENT_SIZES_SMOKE = (8, 16)
-
-
-# -- batteries ---------------------------------------------------------------
-#
-# Each battery is the full analysis menu one PR-2 fast path replaced,
-# run end to end (the fast side pays for its own CSR build).  The legacy
-# side is the declared reference of each twin the battery names
-# (:func:`repro.pipeline.passes.twin_pairs`); the fast battery returns
-# the same keys, and each key compares under its twin's equality.
-
-STRUCTURE_TWINS = (
-    "dfs", "node-dom", "node-pdom", "dom", "pdom", "cycle-equiv",
-)
-DATAFLOW_TWINS = (
-    "liveness", "reaching", "available", "pavailable",
-    "anticipatable", "panticipatable",
-)
-
-
-def _structure_fast(graph) -> dict[str, Any]:
-    csr = build_csr(graph)
-    return {
-        "dfs": depth_first_search_csr(csr),
-        "node-dom": cfg_dominators(graph, csr=csr),
-        "node-pdom": cfg_postdominators(graph, csr=csr),
-        "dom": edge_dominators(graph, csr=csr),
-        "pdom": edge_postdominators(graph, csr=csr),
-        "cycle-equiv": cycle_equivalence(graph, csr=csr),
-    }
-
-
-def _dataflow_fast(graph) -> dict[str, Any]:
-    csr = build_csr(graph)
-    space = expression_space(graph, csr)
-    return {
-        "liveness": liveness_bitsets(graph, csr=csr),
-        "reaching": reaching_bitsets(graph, csr=csr),
-        "available": available_bitsets(graph, csr=csr, space=space),
-        "pavailable": available_bitsets(
-            graph, csr=csr, space=space, must=False
-        ),
-        "anticipatable": anticipatable_bitsets(graph, csr=csr, space=space),
-        "panticipatable": anticipatable_bitsets(
-            graph, csr=csr, space=space, must=False
-        ),
-    }
-
-
-def _best_ms(fn: Callable[[], Any], repeat: int) -> tuple[float, Any]:
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeat)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1000.0, result
-
-
-def _bench_workload(
-    name: str,
-    family: str,
-    rows_spec: list[tuple[str, Any]],
-    twins: tuple[str, ...],
-    fast: Callable,
-    repeat: int,
-) -> dict[str, Any]:
-    rows = []
-    for label, graph in rows_spec:
-        sides = {
-            twin: (reference, equal)
-            for twin, _, reference, equal in twin_pairs(graph)
-            if twin in twins
-        }
-        legacy_ms, legacy_result = _best_ms(
-            lambda: {twin: sides[twin][0]() for twin in twins}, repeat
-        )
-        fast_ms, fast_result = _best_ms(lambda: fast(graph), repeat)
-        rows.append({
-            "size": label,
-            "nodes": graph.num_nodes,
-            "edges": graph.num_edges,
-            "legacy_ms": round(legacy_ms, 3),
-            "fast_ms": round(fast_ms, 3),
-            "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else 0.0,
-            "identical": all(
-                sides[twin][1](legacy_result[twin], fast_result[twin])
-                for twin in twins
-            ),
-        })
-    return {
-        "name": name,
-        "family": family,
-        "rows": rows,
-        "largest": rows[-1],
-    }
-
-
-def bench_sparse_clients(smoke: bool = False, repeat: int = 3) -> dict[str, Any]:
-    """The PR-9 workload: sparse range + taint clients vs their dense
-    per-edge reference twins, on the F1 sparse-use ladder.
-
-    Each row runs both client analyses end to end on both sides,
-    compares the *fact surfaces* for identity, and discloses the
-    visited-work counters (``dense_visits`` vs ``sparse_visits``) so the
-    asymptotic claim -- the sparse propagation graph touches live names
-    only -- is checked in alongside the wall-clock ratio.
-    """
-    from repro.sparse.range_analysis import range_analysis
-    from repro.sparse.taint import taint_analysis
-    from repro.util.counters import WorkCounter
-
-    registry = default_registry()
-    twins = [registry.spec(name) for name in ("sparse-range", "sparse-taint")]
-    sizes = SPARSE_CLIENT_SIZES_SMOKE if smoke else SPARSE_CLIENT_SIZES
-    rows = []
-    for regions in sizes:
-        graph = build_cfg(sparse_use_program(regions, vars_per_region=3))
-        counters: dict[str, WorkCounter] = {}
-
-        def legacy() -> tuple:
-            counter = counters["legacy"] = WorkCounter()
-            return tuple(twin.oracle(graph, {}, counter) for twin in twins)
-
-        def fast() -> tuple:
-            counter = counters["fast"] = WorkCounter()
-            return (
-                range_analysis(graph, counter=counter),
-                taint_analysis(graph, counter=counter),
-            )
-
-        legacy_ms, legacy_result = _best_ms(legacy, repeat)
-        fast_ms, fast_result = _best_ms(fast, repeat)
-        dense_visits = (
-            counters["legacy"]["dense_visits"]
-            + counters["legacy"]["dense_taint_visits"]
-        )
-        sparse_visits = counters["fast"]["sparse_visits"]
-        rows.append({
-            "size": f"R={regions}",
-            "nodes": graph.num_nodes,
-            "edges": graph.num_edges,
-            "legacy_ms": round(legacy_ms, 3),
-            "fast_ms": round(fast_ms, 3),
-            "dense_visits": dense_visits,
-            "sparse_visits": sparse_visits,
-            "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else 0.0,
-            "identical": (
-                all(
-                    twin.equal(ref, got)
-                    for twin, ref, got in zip(
-                        twins, legacy_result, fast_result
-                    )
-                )
-                and sparse_visits < dense_visits
-            ),
-        })
-    return {
-        "name": "sparse-clients",
-        "family": "sparse_use_program",
-        "rows": rows,
-        "largest": rows[-1],
-    }
-
-
-def run_bench(
-    tag: str = "dev",
-    smoke: bool = False,
-    repeat: int | None = None,
-    batch_workers: int = 0,
-    batch_programs: int = 6,
-    serve: bool = False,
-) -> dict[str, Any]:
-    """Run the comparative batteries and a small batch sweep; return the
-    ``repro.bench/1`` payload.
-
-    ``serve=True`` appends the ``serve-loadgen`` workload: a live daemon
-    on a private port, timed warm vs the cold one-shot twin and
-    byte-compared against it, plus the seeded hot/cold/edit request mix
-    (hit-rate, p50/p95, QPS).
-    """
-    if repeat is None:
-        repeat = 3 if smoke else 7
-    c1_sizes = C1_SIZES_SMOKE if smoke else C1_SIZES
-    f4_sizes = F4_SIZES_SMOKE if smoke else F4_SIZES
-
-    c1_rows = [
-        (str(n), build_cfg(diamond_chain(n))) for n in c1_sizes
-    ]
-    f4_rows = [
-        (f"V={v},U={u}", build_cfg(wide_variable_program(v, uses_per_var=u)))
-        for v, u in f4_sizes
-    ]
-    workloads = [
-        _bench_workload(
-            "c1-structure", "diamond_chain", c1_rows,
-            STRUCTURE_TWINS, _structure_fast, repeat,
-        ),
-        _bench_workload(
-            "f4-dataflow", "wide_variable_program", f4_rows,
-            DATAFLOW_TWINS, _dataflow_fast, repeat,
-        ),
-    ]
-    from repro.regions.replay import bench_edit_replay, bench_root_balance
-
-    replay_sizes = REPLAY_SIZES_SMOKE if smoke else REPLAY_SIZES
-    workloads.append(bench_edit_replay(replay_sizes, repeat=repeat))
-    balance_sizes = BALANCE_SIZES_SMOKE if smoke else BALANCE_SIZES
-    workloads.append(bench_root_balance(balance_sizes, repeat=repeat))
-    workloads.append(bench_sparse_clients(smoke=smoke, repeat=repeat))
-    if serve:
-        from repro.serve.loadgen import bench_serve_loadgen
-
-        workloads.append(bench_serve_loadgen(smoke=smoke))
-    return {
-        "schema": BENCH_SCHEMA,
-        "tag": tag,
-        "mode": "smoke" if smoke else "full",
-        "python": sys.version.split()[0],
-        "repeat": repeat,
-        "workloads": workloads,
-        "batch": run_batch(
-            suite=default_suite(batch_programs), workers=batch_workers
-        ),
-    }
-
-
-def check_regression(
-    payload: dict, baseline: dict, tolerance: float = 0.75
-) -> list[str]:
-    """Failures of ``payload`` against ``baseline``.
-
-    A workload regresses when its largest-size speedup drops below
-    ``tolerance`` (default: more than 25% down) of the baseline's, or
-    when any row's results stopped being identical to legacy.
-    """
-    failures: list[str] = []
-    current = {w["name"]: w for w in payload.get("workloads", ())}
-    for base in baseline.get("workloads", ()):
-        name = base["name"]
-        if name not in current:
-            failures.append(f"{name}: missing from current run")
-            continue
-        workload = current[name]
-        for row in workload["rows"]:
-            if not row["identical"]:
-                failures.append(
-                    f"{name} size {row['size']}: fast/legacy results differ"
-                )
-        want = base["largest"]["speedup"] * tolerance
-        got = workload["largest"]["speedup"]
-        if got < want:
-            failures.append(
-                f"{name}: largest-size speedup {got:.2f}x is below "
-                f"{tolerance:.0%} of baseline "
-                f"{base['largest']['speedup']:.2f}x"
-            )
-    return failures
-
-
-# -- parallel batch driver ---------------------------------------------------
 
 
 def _fault_raise(*args):

@@ -36,8 +36,8 @@ carries it as ``oracle=`` (with ``equal=`` where its result type lacks
 value equality), and the kernels no pass returns -- node dominators,
 anticipatability, Cytron SSA -- sit in :data:`KERNEL_TWINS`.
 :func:`twin_pairs` binds both kinds to one graph; the degradation
-policy, the chaos harness, the fuzzer, the bench batteries and the
-equivalence tests all derive from these declarations.  Every body --
+policy, the chaos harness, the fuzzer, the batch agreement flags and
+the equivalence tests all derive from these declarations.  Every body --
 pass, reference or kernel twin -- imports its kernel when it runs, so
 declaring the registry loads no analysis module and a process imports
 the kernels of the passes it resolves.

@@ -9,9 +9,7 @@ The modules layer bottom-up:
   hierarchical solver (drop-in twin of ``solve_bitset``);
 * :mod:`repro.regions.incremental`  -- the continuously-solved engine
   with signature-keyed per-region caches;
-* :mod:`repro.regions.edits`        -- the statement-level edit API;
-* :mod:`repro.regions.replay`       -- the deterministic edit-replay
-  benchmark workload.
+* :mod:`repro.regions.edits`        -- the statement-level edit API.
 """
 
 from repro import lazy_exports
@@ -21,11 +19,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EditSession": ".edits",
     "RegionDataflow": ".incremental",
     "RegionSystems": ".systems",
-    "bench_edit_replay": ".replay",
     "build_region_systems": ".hierarchical",
     "build_systems": ".systems",
     "core_problems": ".hierarchical",
     "hierarchical_summaries": ".hierarchical",
-    "replay_row": ".replay",
     "solve_hierarchical": ".hierarchical",
 })

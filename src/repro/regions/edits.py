@@ -43,7 +43,6 @@ class EditSession:
         counter: WorkCounter | None = None,
         live_out: frozenset[str] = frozenset(),
         manager: "AnalysisManager | None" = None,
-        balance: bool = True,
     ) -> None:
         self.graph = graph
         self.counter = counter if counter is not None else WorkCounter()
@@ -52,7 +51,7 @@ class EditSession:
 
         self.structure = ProgramStructure(graph, counter=self.counter)
         self.engine = RegionDataflow(
-            graph, self.structure, self.counter, live_out, balance=balance
+            graph, self.structure, self.counter, live_out
         )
         self.edits = 0
 

@@ -292,8 +292,7 @@ def hierarchical_summaries(
 
     Synthetic chain systems are skipped: they are re-associations of
     the root solve, not regions, and a real region's summary never
-    depends on one -- so the result is the same key set whether the
-    assembly was balanced or not.
+    depends on one -- so the key set is exactly the active regions.
     """
     forward = problem.direction == "forward"
     root_dense = csr.start if forward else csr.end

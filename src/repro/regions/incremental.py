@@ -98,7 +98,6 @@ class RegionDataflow:
         structure: "ProgramStructure | None" = None,
         counter: WorkCounter | None = None,
         live_out: frozenset[str] = frozenset(),
-        balance: bool = True,
     ) -> None:
         if structure is None:
             from repro.controldep.sese import ProgramStructure
@@ -108,7 +107,6 @@ class RegionDataflow:
         self.structure = structure
         self.counter = counter if counter is not None else WorkCounter()
         self.live_out = live_out
-        self.balance = balance
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -116,7 +114,7 @@ class RegionDataflow:
     def _build(self) -> None:
         graph = self.graph
         self.systems: RegionSystems = build_systems(
-            graph, self.structure, self.counter, balance=self.balance
+            graph, self.structure, self.counter
         )
 
         # Variable universe (liveness bits + the reaching seed set) and
@@ -342,7 +340,6 @@ class RegionDataflow:
         self.systems = build_systems(
             self.graph, self.structure, self.counter,
             prev=self.systems, touched=self.structure.consume_touched(),
-            balance=self.balance,
         )
         self._epoch += 1
         self.counter.tick("inc_reshapes")

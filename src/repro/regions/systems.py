@@ -141,7 +141,7 @@ class RegionSystems:
 
     __slots__ = (
         "graph", "structure", "systems", "sys_of_node", "dissolved",
-        "reused", "_prev", "_touched", "_balance",
+        "reused", "_prev", "_touched",
     )
 
     def __init__(
@@ -151,13 +151,11 @@ class RegionSystems:
         counter: WorkCounter | None = None,
         prev: "RegionSystems | None" = None,
         touched: "set | None" = None,
-        balance: bool = True,
     ) -> None:
         self.graph = graph
         self.structure = structure
         self.dissolved = 0
         self.reused = 0
-        self._balance = balance
         # Unit reuse: ``prev`` is the assembly from just before a single
         # structure edit and ``touched`` that edit's affected regions
         # (``ProgramStructure.consume_touched``).  An untouched region
@@ -255,8 +253,7 @@ class RegionSystems:
                 continue
             self._build_units(system, systems, sys_of_node, dead)
 
-        if self._balance:
-            self._balance_root(systems, sys_of_node, dead)
+        self._balance_root(systems, sys_of_node, dead)
 
         self.systems = systems
         self.sys_of_node = sys_of_node
@@ -494,14 +491,11 @@ def build_systems(
     counter: WorkCounter | None = None,
     prev: RegionSystems | None = None,
     touched: "set | None" = None,
-    balance: bool = True,
 ) -> RegionSystems:
     """Assemble (and closure-verify) the region equation systems.
 
     ``prev``/``touched`` enable unit reuse across a single structure
     edit: pass the previous assembly and the edit's
     :meth:`~repro.controldep.sese.ProgramStructure.consume_touched` set.
-    ``balance=False`` skips the root-chain re-association (the flat
-    root is kept for differential benchmarking only).
     """
-    return RegionSystems(graph, structure, counter, prev, touched, balance)
+    return RegionSystems(graph, structure, counter, prev, touched)

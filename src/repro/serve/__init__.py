@@ -16,9 +16,7 @@ lint-on-save and batch traffic:
   protocol over a Unix or localhost TCP socket, backed by an LRU of warm
   :class:`~repro.pipeline.manager.AnalysisManager` instances and
   long-lived :class:`~repro.regions.edits.EditSession` documents;
-* :mod:`repro.serve.client` -- the socket client behind ``repro request``;
-* :mod:`repro.serve.loadgen` -- the deterministic ``serve-loadgen``
-  bench workload (seeded hot/cold/edit mix; hit-rate, p50/p95, QPS).
+* :mod:`repro.serve.client` -- the socket client behind ``repro request``.
 """
 
 from repro import lazy_exports

@@ -10,7 +10,8 @@ hang.
 The module also owns the **offline twin**: :func:`one_shot` answers the
 pure source ops without any daemon by calling the same
 :func:`~repro.serve.ops.run_op` the server uses -- this is the
-byte-equality oracle the loadgen and the CI smoke job compare against.
+byte-equality oracle the protocol tests and the CI smoke job compare
+against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The acceptance contract of the serve subsystem is *byte identity*: a
 daemon response must equal the one-shot answer for the same source.  The
 only robust way to get that is to have exactly one implementation of
 each answer, so both the daemon's request broker and the one-shot path
-(``repro request`` without a server, the loadgen's expected side) call
+(``repro request`` without a server) call
 :func:`run_op` -- a pure function from ``(op, source)`` to a
 JSON-serializable payload with fully deterministic content (every
 collection sorted, no wall-clock fields).

@@ -23,8 +23,9 @@ for free.
 fixpoint over the *sparse propagation graph* (name -> consumer sites)
 instead of iterating every (CFG edge, variable) pair: each site
 re-evaluates only when one of its input names actually changes, which is
-the whole point of sparseness and what the ``sparse-clients`` bench
-workload measures.
+the whole point of sparseness and what experiment C4
+(``benchmarks/test_c4_work_counts.py``) measures against the dense
+references.
 """
 
 from __future__ import annotations

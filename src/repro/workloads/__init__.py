@@ -11,9 +11,7 @@
 
 These families are the substrate of every driver in the repo: the
 equivalence corpus (``repro.perf.batch``), the fuzz schedules, the lint
-sweep, and the serve daemon's seeded load generator
-(``repro.serve.loadgen``), which pretty-prints the corpus so the daemon
-and its one-shot twin analyze byte-identical source.
+sweep and the chaos harness.
 """
 
 from repro import lazy_exports

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import PROFILE_SCHEMA, TRACE_SCHEMA, main
+from repro.cli import PROFILE_SCHEMA, TRACE_SCHEMA, build_arg_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -166,49 +166,7 @@ def test_constant_program_analysis(tmp_path, capsys):
     assert "dead code" in out
 
 
-# -- bench / batch -------------------------------------------------------------
-
-
-def test_bench_smoke_payload(tmp_path, capsys):
-    from repro.perf.batch import check_regression
-
-    out = str(tmp_path / "bench.json")
-    assert main(
-        ["bench", "--smoke", "--repeat", "1", "--tag", "t", "--output", out]
-    ) == 0
-    assert "wrote" in capsys.readouterr().out
-    payload = json.load(open(out))
-    assert payload["schema"] == "repro.bench/1"
-    assert payload["tag"] == "t" and payload["mode"] == "smoke"
-    names = [w["name"] for w in payload["workloads"]]
-    assert names == [
-        "c1-structure", "f4-dataflow", "edit-replay",
-        "edit-replay-balance", "sparse-clients",
-    ]
-    for workload in payload["workloads"]:
-        assert workload["rows"], workload["name"]
-        for row in workload["rows"]:
-            assert row["identical"] is True
-            assert row["legacy_ms"] > 0 and row["fast_ms"] > 0
-        assert workload["largest"] == workload["rows"][-1]
-    assert payload["batch"]["programs"] > 0
-    # A payload can never regress against itself.
-    assert check_regression(payload, payload) == []
-
-
-def test_bench_check_flags_regression(tmp_path, capsys):
-    from repro.perf.batch import check_regression
-
-    out = str(tmp_path / "bench.json")
-    assert main(
-        ["bench", "--smoke", "--repeat", "1", "--tag", "t", "--output", out]
-    ) == 0
-    capsys.readouterr()
-    payload = json.load(open(out))
-    inflated = json.loads(json.dumps(payload))
-    for workload in inflated["workloads"]:
-        workload["largest"]["speedup"] *= 100.0
-    assert check_regression(payload, inflated)
+# -- batch --------------------------------------------------------------------
 
 
 def test_batch_in_process(tmp_path, capsys):
@@ -311,23 +269,56 @@ def test_unknown_suite_exits_2_and_lists_names(capsys, command, suites):
         (["fuzz", "--suite", "smoke", "--budget", "0"], "--budget"),
         (["batch", "--workers", "0", "--programs", "0"], "--programs"),
         (["batch", "--workers", "0", "--size", "-5"], "--size"),
+        (["run", "FILE", "--max-steps", "0"], "--max-steps"),
+        (["optimize", "FILE", "--max-steps", "-3"], "--max-steps"),
+        (["lint", "FILE", "--max-steps", "0"], "--max-steps"),
     ],
     ids=["request-timeout", "batch-timeout", "chaos-budget", "fuzz-budget",
-         "batch-programs", "batch-size"],
+         "batch-programs", "batch-size", "run-max-steps",
+         "optimize-max-steps", "lint-max-steps"],
 )
 def test_non_positive_flag_is_rejected_before_any_work(
-    tmp_path, capsys, argv, flag
+    sample, tmp_path, capsys, argv, flag
 ):
     """A non-positive duration or count is an input error naming the
     flag: exit 2, one line, no traceback, and nothing written."""
     out = tmp_path / "out.json"
-    if argv[0] != "request":
+    argv = [sample if arg == "FILE" else arg for arg in argv]
+    if argv[0] in ("batch", "chaos", "fuzz", "lint"):
         argv = argv + ["--output", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"repro: input error: {flag} must be positive")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FILE", "--env", "x=1"],
+        ["analyze", "FILE", "--max-steps", "5"],
+        ["optimize", "FILE", "-v"],
+        ["profile", "FILE", "--env", "x=1"],
+        ["profile", "FILE", "--max-steps", "5"],
+        ["profile", "FILE", "-v"],
+        ["trace", "FILE", "--env", "x=1"],
+        ["trace", "FILE", "--max-steps", "5"],
+        ["trace", "FILE", "-v"],
+        ["bench", "--smoke"],
+    ],
+    ids=["analyze-env", "analyze-max-steps", "optimize-verbose",
+         "profile-env", "profile-max-steps", "profile-verbose",
+         "trace-env", "trace-max-steps", "trace-verbose", "bench-verb"],
+)
+def test_options_a_verb_does_not_read_are_rejected(sample, argv):
+    """Each verb declares only the options its handler reads, so an
+    option the verb would ignore is a usage error (argparse's exit 2),
+    not a silent no-op; ``bench`` is not a verb."""
+    argv = [sample if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        build_arg_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def test_fuzz_cli_smoke(tmp_path, capsys):

@@ -181,25 +181,26 @@ def test_generators_and_mutators_identical_across_hash_seeds() -> None:
         assert _generator_bytes(seed) == baseline, seed
 
 
-# -- region summaries and the edit-replay workload ----------------------------
+# -- region summaries and a scripted edit session -----------------------------
 #
 # The PR-6 surfaces: phase-1 region summaries (canonical ``(gen, kill)``
-# pairs keyed by region boundary) and the ``repro.bench/1`` edit-replay
-# payload must not depend on set iteration order anywhere in the SESE
-# update, the system assembly, or the solver.  Timing fields are zeroed;
-# everything else -- summary values, work counters, edit counts -- must
-# be byte-identical across hash seeds.
+# pairs keyed by region boundary) and an ``EditSession`` driven through a
+# fixed edit sequence must not depend on set iteration order anywhere in
+# the SESE update, the system assembly, or the solver.  Summary values,
+# decoded facts after every stage of the script, and the session's work
+# counters must all be byte-identical across hash seeds.
 
 _REGION_SCRIPT = """\
 import json
 from repro.cfg.builder import build_cfg
+from repro.lang.ast_nodes import BinOp, Var
 from repro.perf.batch import resolve_family
 from repro.perf.csr import build_csr
+from repro.regions.edits import EditSession
 from repro.regions.hierarchical import (
     build_region_systems, core_problems, hierarchical_summaries,
 )
-from repro.regions.replay import build_replay_graph, edit_script, replay_row
-from repro.regions.edits import EditSession
+from repro.util.counters import WorkCounter
 
 for family, args in (("diamond", [24]), ("loopnest", [4]), ("jump", [6])):
     graph = build_cfg(resolve_family(family)(*args))
@@ -209,25 +210,43 @@ for family, args in (("diamond", [24]), ("loopnest", [4]), ("jump", [6])):
         summaries = hierarchical_summaries(csr, regions, problem)
         print(family, name, regions.dissolved, sorted(summaries.items()))
 
-row = replay_row(24, repeat=1)
-for key in ("legacy_ms", "fast_ms", "speedup"):
-    row[key] = 0.0
-print(json.dumps(row, sort_keys=True))
 
-graph = build_replay_graph(24)
-print(edit_script(graph))
-session = EditSession(graph)
-facts = session.solve_all()
-print(json.dumps(
-    {
-        name: {
-            str(eid): sorted(map(str, values))
-            for eid, values in sorted(result.items())
-        }
-        for name, result in facts.items()
-    },
-    sort_keys=True,
-))
+def dump(facts):
+    print(json.dumps(
+        {
+            name: {
+                str(eid): sorted(map(str, values))
+                for eid, values in sorted(result.items())
+            }
+            for name, result in facts.items()
+        },
+        sort_keys=True,
+    ))
+
+
+# Swap every diamond's arm right-hand sides, then splice a copy onto the
+# middle then-arm's out-edge and unsplice it again.
+graph = build_cfg(resolve_family("diamond")(24))
+counter = WorkCounter()
+session = EditSession(graph, counter=counter)
+dump(session.solve_all())
+arms = {"+": [], "-": []}
+for node in sorted(graph.assign_nodes(), key=lambda n: n.id):
+    if isinstance(node.expr, BinOp) and node.expr.op in arms:
+        arms[node.expr.op].append(node.id)
+for plus, minus in zip(arms["+"], arms["-"]):
+    expr_plus, expr_minus = graph.node(plus).expr, graph.node(minus).expr
+    session.rewrite_rhs(plus, expr_minus)
+    session.rewrite_rhs(minus, expr_plus)
+    session.solve_all()
+dump(session.solve_all())
+middle = graph.node(arms["+"][len(arms["+"]) // 2])
+(edge,) = graph.out_edges(middle.id)
+nid, _, _ = session.splice_assign(edge.id, middle.target, Var(middle.target))
+dump(session.solve_all())
+session.unsplice(nid)
+dump(session.solve_all())
+print(session.edits, sorted(counter.snapshot().items()))
 """
 
 
@@ -340,32 +359,32 @@ def test_sparse_clients_identical_across_hash_seeds() -> None:
         assert _sparse_bytes(seed) == baseline, seed
 
 
-# -- the serve stack: cache keys, op payloads, loadgen schedule ---------------
+# -- the serve stack: cache keys and op payloads ------------------------------
 #
 # The PR-10 surfaces: a content-addressed cache key must hash the same
 # bytes in every process (or a daemon restarted under a different hash
-# seed would silently miss everything it just stored), every serve op
-# payload is canonical JSON whose bytes feed the byte-identity gate, and
-# the loadgen schedule is the seeded workload replayed by CI -- drift in
-# any of them would make "warm hit equals cold one-shot" unverifiable.
+# seed would silently miss everything it just stored), and every serve
+# op payload is canonical JSON whose bytes feed the byte-identity gate --
+# drift in either would make "warm hit equals cold one-shot"
+# unverifiable.  The sources are the pretty-printed smoke corpus the
+# daemon tests send.
 
 _SERVE_SCRIPT = """\
+from repro.lang.pretty import pretty_program
+from repro.perf.batch import equivalence_suite, resolve_family
 from repro.serve.cache import cache_key_bytes, source_sha
-from repro.serve.loadgen import loadgen_corpus, loadgen_schedule
 from repro.serve.ops import run_op
 from repro.serve.server import canonical_json
 
-corpus = loadgen_corpus(smoke=True)
-for label, source in corpus[:6]:
+for spec in equivalence_suite(smoke=True)[:6]:
+    label = spec["label"]
+    source = pretty_program(resolve_family(spec["family"])(*spec["args"]))
     sha = source_sha(source)
     print(label, sha)
     for name in ("cfg", "sese", "dfg", "constprop", "op:lint"):
         print(cache_key_bytes(sha, name, "seed-sweep").hex())
     for op in ("analyze", "constprop", "lint"):
         print(canonical_json(run_op(op, source, label=label)).hex())
-
-print(loadgen_schedule(seed=11, requests=64, programs=len(corpus)))
-print(loadgen_schedule(seed=99, requests=32, programs=5, hot_set=2))
 """
 
 

@@ -58,6 +58,9 @@ def _population():
         yield f"irr-{seed}", build_cfg(irreducible_program(seed, blocks=5))
     for seed in range(6):
         yield f"jump-{seed}", build_cfg(random_jump_program(seed, blocks=7))
+    # A long diamond chain: its root's children form one sequential run,
+    # so the balanced root's chain systems carry most of the re-solves.
+    yield "diamond-128", build_cfg(diamond_chain(128))
 
 
 def _random_edit(rng, graph, session, spliced) -> bool:

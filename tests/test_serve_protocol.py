@@ -5,7 +5,8 @@ a private port (or unix socket) with a private cache directory, talks to
 it through the real :class:`~repro.serve.client.ServeClient`, and
 asserts the service contracts:
 
-* warm daemon answers are byte-identical to the one-shot CLI twin;
+* warm daemon answers are byte-identical to the one-shot CLI twin, on
+  a fixed program and across the smoke equivalence corpus;
 * a scripted session's responses match a checked-in golden transcript
   (regenerate with ``REGEN_GOLDEN=1``);
 * malformed requests produce structured errors -- never a dropped
@@ -68,6 +69,19 @@ def _client(server: ReproServer, timeout_s: float = 30.0) -> ServeClient:
 # -- byte identity vs the one-shot twin ---------------------------------------
 
 
+def _smoke_corpus() -> list[tuple[str, str]]:
+    """``(label, source)`` for the smoke equivalence corpus, pretty-printed
+    so the daemon and the one-shot twin see the same text."""
+    from repro.lang.pretty import pretty_program
+    from repro.perf.batch import equivalence_suite, resolve_family
+
+    return [
+        (spec["label"],
+         pretty_program(resolve_family(spec["family"])(*spec["args"])))
+        for spec in equivalence_suite(smoke=True)
+    ]
+
+
 def test_daemon_answers_byte_identical_to_one_shot(server) -> None:
     with _client(server) as client:
         # analyze resolves constprop's whole pass set, so the later
@@ -85,6 +99,17 @@ def test_daemon_answers_byte_identical_to_one_shot(server) -> None:
                 assert response["ok"], response
                 assert response["cache"] == expected_state, op
                 assert canonical_json(response["result"]) == expected, op
+        # Every corpus program misses, then hits warm; both answers
+        # equal the one-shot bytes.
+        for label, source in _smoke_corpus():
+            expected = canonical_json(run_op("analyze", source, label=label))
+            for expected_state in ("miss", "warm"):
+                response = client.request(
+                    "analyze", source=source, file=label
+                )
+                assert response["ok"], (label, response)
+                assert response["cache"] == expected_state, label
+                assert canonical_json(response["result"]) == expected, label
 
 
 def test_disk_tier_survives_daemon_restart(tmp_path) -> None:
